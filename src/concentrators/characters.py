@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permgroup import FiniteGroup, compose, conjugacy_classes, inverse, is_subgroup, seeded_rng
+from .permgroup import FiniteGroup, conjugacy_classes, inverse_rows, is_subgroup, seeded_rng
 
 MAX_CLASSES = 60
 
@@ -58,15 +58,14 @@ def _class_matrices(G: FiniteGroup, classes, class_of) -> np.ndarray:
     class-sum basis; they commute pairwise.
     """
     r = len(classes)
-    inv_index = [G.index_of(inverse(g)) for g in G.elements]
+    class_of = np.asarray(class_of)
+    inv_rows = inverse_rows(G.rows)
     mats = np.zeros((r, r, r))
-    reps = [members[0] for members in classes]
-    for i, members in enumerate(classes):
-        for k, rep in enumerate(reps):
-            z = G.elements[rep]
-            for x_idx in members:
-                y = compose(G.elements[inv_index[x_idx]], z)
-                mats[i, k, class_of[G.index_of(y)]] += 1
+    for k, members in enumerate(classes):
+        # x^-1 * z maps p to x^-1(z(p)), for every x at once.
+        y = G.lookup(inv_rows[:, G.rows[members[0]]])
+        pairs = np.bincount(class_of * r + class_of[y], minlength=r * r)
+        mats[:, k, :] = pairs.reshape(r, r)
     # Reorient so column j of mats[i] acts on the coefficient of class j.
     return mats.transpose(0, 2, 1)
 
@@ -151,10 +150,10 @@ def trivial_restriction_multiplicities(
     if not is_subgroup(G, H):
         raise CharacterError(f"{H.label()} is not a subgroup of {G.label()}")
     table = character_table(G) if table is None else table
-    h_classes = [table.class_of[G.index_of(h)] for h in H.elements]
+    h_classes = np.asarray(table.class_of)[G.lookup(H.rows)]
     mults = []
     for chi in table.chars:
-        m = sum(chi[c] for c in h_classes) / len(H)
+        m = chi[h_classes].sum() / len(H)
         if abs(m.imag) > tol or abs(m.real - round(m.real)) > tol:
             raise CharacterError(f"non-integer trivial multiplicity {m}")
         mults.append(round(m.real))

@@ -98,6 +98,16 @@ def load_multiset(path: str | Path) -> tuple[int, tuple[Permutation, ...]]:
     return parse_permutation_list(Path(path).read_text())
 
 
+def _edge_line(ln: str, n_rows: int, n_cols: int) -> tuple[int, int, int]:
+    """Parse ``i j mult`` with 0 <= i < n_rows and 0 <= j < n_cols."""
+    i, j, mult = (int(t) for t in ln.split())
+    if not (0 <= i < n_rows and 0 <= j < n_cols):
+        raise FormatError(
+            f"edge endpoint outside 0..{n_rows - 1} x 0..{n_cols - 1}: {ln!r}"
+        )
+    return i, j, mult
+
+
 def parse_graph_text(text: str) -> Graph | BipartiteGraph:
     lines = _content_lines(text)
     if not lines:
@@ -107,7 +117,7 @@ def parse_graph_text(text: str) -> Graph | BipartiteGraph:
         n = int(head[1])
         adj = np.zeros((n, n), dtype=np.int64)
         for ln in lines[1:]:
-            i, j, mult = (int(t) for t in ln.split())
+            i, j, mult = _edge_line(ln, n, n)
             if adj[i, j] != 0:
                 raise FormatError(f"duplicate edge line: {ln!r}")
             adj[i, j] = mult
@@ -117,7 +127,7 @@ def parse_graph_text(text: str) -> Graph | BipartiteGraph:
         n, m = int(head[1]), int(head[2])
         inc = np.zeros((n, m), dtype=np.int64)
         for ln in lines[1:]:
-            i, j, mult = (int(t) for t in ln.split())
+            i, j, mult = _edge_line(ln, n, m)
             if inc[i, j] != 0:
                 raise FormatError(f"duplicate edge line: {ln!r}")
             inc[i, j] = mult

@@ -17,8 +17,7 @@ from .permgroup import (
     FiniteGroup,
     Permutation,
     closure,
-    compose,
-    inverse,
+    inverse_rows,
     right_cosets,
 )
 
@@ -107,42 +106,30 @@ def cayley_graph(G: FiniteGroup, S: Sequence[Permutation]) -> Graph:
     if not S:
         raise GraphError("connection multiset S must be nonempty")
     n = len(G)
-    adj = np.zeros((n, n), dtype=np.int64)
-    for s in S:
-        si = G.index_of(s)  # raises if s is not an element
-        s_img = G.elements[si]
-        for gi, g in enumerate(G.elements):
-            hi = G.index_of(compose(s_img, g))
-            if hi == gi:
-                adj[gi, gi] += 1
-            else:
-                adj[gi, hi] += 1
-                adj[hi, gi] += 1
-    return Graph(adj)
+    # sg[a, g] is the index of s_a * g; each s adds {g, sg}, once when a loop.
+    sg = G.lookup(G.rows_of(S)[:, G.rows])
+    g = np.broadcast_to(np.arange(n), sg.shape)
+    ends = np.concatenate([(g * n + sg).ravel(), (sg * n + g)[sg != g]])
+    return Graph(np.bincount(ends, minlength=n * n).reshape(n, n))
 
 
 def coset_graph(G: FiniteGroup, H: FiniteGroup, S: Sequence[Permutation]) -> Graph:
-    """Simple graph on the right cosets Hg, joined when reps differ by H(S u S^-1)H."""
+    """Simple graph on the right cosets Hg, joined when reps differ by H(S u S^-1)H.
+
+    Hb is joined to Ha exactly when Hb = H s h a for some s in S u S^-1 and
+    h in H, so each coset's neighbours are the cosets of s h a.
+    """
     part = right_cosets(G, H)
     if not S:
         raise GraphError("connection multiset S must be nonempty")
-    hsh = set()
-    for h1 in H.elements:
-        for s in set(S):
-            base = compose(h1, s)
-            base_inv = compose(h1, inverse(s))
-            for h2 in H.elements:
-                hsh.add(G.index_of(compose(base, h2)))
-                hsh.add(G.index_of(compose(base_inv, h2)))
-    m = len(part)
-    adj = np.zeros((m, m), dtype=np.int64)
-    for a in range(m):
-        ga_inv = inverse(part.representatives[a])
-        for b in range(a, m):
-            diff = G.index_of(compose(part.representatives[b], ga_inv))
-            if diff in hsh:
-                adj[a, b] = 1
-                adj[b, a] = 1
+    conn = G.rows_of(S)
+    conn = np.concatenate([conn, inverse_rows(conn)])
+    reps = G.rows[[c[0] for c in part.cosets]]
+    b = np.asarray(part.coset_of)[G.lookup(conn[:, H.rows[:, reps]])]
+    a = np.broadcast_to(np.arange(len(part)), b.shape)
+    adj = np.zeros((len(part), len(part)), dtype=np.int64)
+    adj[a, b] = 1
+    adj[b, a] = 1
     return Graph(adj)
 
 
@@ -166,16 +153,19 @@ def bicoset_graph(
         raise GraphError("connection multiset S must be nonempty")
     in_part = right_cosets(G, L)
     out_part = right_cosets(G, N)
-    inc = np.zeros((len(in_part), len(out_part)), dtype=np.int64)
-    s_checked = [G.elements[G.index_of(s)] for s in S]
-    for i, rep in enumerate(in_part.representatives):
-        for s in s_checked:
-            j = out_part.coset_of[G.index_of(compose(s, rep))]
-            inc[i, j] += 1
+    conn = G.rows_of(S)
+    in_reps = [c[0] for c in in_part.cosets]
+    out_reps = [c[0] for c in out_part.cosets]
+    # j[s, i] is the N-coset of s * rep_i.
+    j = np.asarray(out_part.coset_of)[G.lookup(conn[:, G.rows[in_reps]])]
+    i = np.broadcast_to(np.arange(len(in_part)), j.shape)
+    n_out = len(out_part)
+    inc = np.bincount((i * n_out + j).ravel(), minlength=len(in_part) * n_out)
+    inc = inc.reshape(len(in_part), n_out)
     if simple:
         inc = np.minimum(inc, 1)
-    in_labels = tuple(f"Lg{G.index_of(r)}" for r in in_part.representatives)
-    out_labels = tuple(f"Ng{G.index_of(r)}" for r in out_part.representatives)
+    in_labels = tuple(f"Lg{r}" for r in in_reps)
+    out_labels = tuple(f"Ng{r}" for r in out_reps)
     return BipartiteGraph(inc, in_labels, out_labels)
 
 

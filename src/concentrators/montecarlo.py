@@ -94,30 +94,14 @@ def product_multisets(
     return full, star
 
 
-def _left_mul_rows(G: FiniteGroup):
-    cache: dict[int, np.ndarray] = {}
-
-    def row(s_idx: int) -> np.ndarray:
-        got = cache.get(s_idx)
-        if got is None:
-            s = G.elements[s_idx]
-            got = np.array([G.index_of(compose(s, g)) for g in G.elements])
-            cache[s_idx] = got
-        return got
-
-    return row
-
-
 def cayley_operator(G: FiniteGroup, S: tuple[Permutation, ...]) -> np.ndarray:
     """Normalized multigraph adjacency (1/2|S|) * sum_s (R(s) + R(s)^T)."""
     if not S:
         raise MonteCarloError("S must be nonempty")
     n = len(G)
-    rows = _left_mul_rows(G)
-    A = np.zeros((n, n))
-    ar = np.arange(n)
-    for s in S:
-        A[rows(G.index_of(s)), ar] += 1.0
+    # R(s) has a 1 at (index of s*g, g) for every g.
+    sg = G.lookup(G.rows_of(S)[:, G.rows])
+    A = np.bincount((sg * n + np.arange(n)).ravel(), minlength=n * n).reshape(n, n)
     return (A + A.T) / (2.0 * len(S))
 
 

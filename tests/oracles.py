@@ -1,0 +1,158 @@
+"""Per-element pure-Python reference implementations of the group core.
+
+These are the loops that the array-backed code in ``concentrators`` replaced.
+They work on image tuples only and share nothing with the arrays, so the
+differential tests in ``test_group_core.py`` compare two independent
+computations.
+"""
+
+from concentrators.permgroup import GroupError
+
+
+def _compose(p, q):
+    """Apply q first, then p."""
+    return tuple(p[j] for j in q)
+
+
+def _inverse(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def closure(degree, generators, cap):
+    """Image tuples in breadth-first order: identity, then each frontier
+    element left-multiplied by the generators in the order given."""
+    ident = tuple(range(degree))
+    index = {ident: 0}
+    elements = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for gen in generators:
+                cand = _compose(gen, cur)
+                if cand not in index:
+                    if len(elements) >= cap:
+                        raise GroupError(
+                            f"closure exceeded the enumeration cap of {cap} elements; "
+                            "raise `cap` explicitly if the group really is this large"
+                        )
+                    index[cand] = len(elements)
+                    elements.append(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return elements
+
+
+def right_cosets(elements, sub_elements):
+    """(representative indices, coset_of, cosets) of the right cosets Hg."""
+    index = {e: i for i, e in enumerate(elements)}
+    coset_of = [-1] * len(elements)
+    reps, cosets = [], []
+    for i, g in enumerate(elements):
+        if coset_of[i] >= 0:
+            continue
+        members = sorted(index[_compose(h, g)] for h in sub_elements)
+        for m in members:
+            coset_of[m] = len(reps)
+        reps.append(members[0])
+        cosets.append(tuple(members))
+    return tuple(reps), tuple(coset_of), tuple(cosets)
+
+
+def conjugacy_classes(elements, generators):
+    """Sorted index tuples, ordered by least member."""
+    index = {e: i for i, e in enumerate(elements)}
+    assigned = [False] * len(elements)
+    gen_invs = [(g, _inverse(g)) for g in generators]
+    classes = []
+    for i in range(len(elements)):
+        if assigned[i]:
+            continue
+        orbit = {i}
+        frontier = [i]
+        assigned[i] = True
+        while frontier:
+            x = elements[frontier.pop()]
+            for g, ginv in gen_invs:
+                k = index[_compose(_compose(g, x), ginv)]
+                if not assigned[k]:
+                    assigned[k] = True
+                    orbit.add(k)
+                    frontier.append(k)
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
+
+
+def cayley_adjacency(elements, S):
+    """Multiplicity matrix (as nested lists) of the Cayley graph {g, sg}."""
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    adj = [[0] * n for _ in range(n)]
+    for s in S:
+        for gi, g in enumerate(elements):
+            hi = index[_compose(s, g)]
+            adj[gi][hi] += 1
+            if hi != gi:
+                adj[hi][gi] += 1
+    return adj
+
+
+def cayley_operator(elements, S):
+    """(1/2|S|) sum_s (R(s) + R(s)^T) with R(s)[sg, g] = 1, as nested lists."""
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    A = [[0.0] * n for _ in range(n)]
+    for s in S:
+        for gi, g in enumerate(elements):
+            A[index[_compose(s, g)]][gi] += 1.0
+    return [[(A[i][j] + A[j][i]) / (2.0 * len(S)) for j in range(n)] for i in range(n)]
+
+
+def coset_adjacency(elements, sub_elements, S):
+    """0/1 adjacency of cosets Ha, Hb with rep_b rep_a^-1 in H(S u S^-1)H."""
+    index = {e: i for i, e in enumerate(elements)}
+    reps, _, _ = right_cosets(elements, sub_elements)
+    hsh = set()
+    for h1 in sub_elements:
+        for s in set(S):
+            for base in (_compose(h1, s), _compose(h1, _inverse(s))):
+                for h2 in sub_elements:
+                    hsh.add(index[_compose(base, h2)])
+    m = len(reps)
+    adj = [[0] * m for _ in range(m)]
+    for a in range(m):
+        ga_inv = _inverse(elements[reps[a]])
+        for b in range(a, m):
+            if index[_compose(elements[reps[b]], ga_inv)] in hsh:
+                adj[a][b] = adj[b][a] = 1
+    return adj
+
+
+def bicoset_incidence(elements, L_elements, N_elements, S):
+    """inc[Lg][Nh] = #{s in S : N s g = Nh} for each least representative g."""
+    index = {e: i for i, e in enumerate(elements)}
+    in_reps, _, _ = right_cosets(elements, L_elements)
+    out_reps, out_coset_of, _ = right_cosets(elements, N_elements)
+    inc = [[0] * len(out_reps) for _ in in_reps]
+    for i, rep in enumerate(in_reps):
+        for s in S:
+            inc[i][out_coset_of[index[_compose(s, elements[rep])]]] += 1
+    return inc
+
+
+def class_matrices(elements, classes):
+    """mats[i][j][k] = #{x in C_i : x^-1 z_k in C_j}, z_k the least member of C_k."""
+    index = {e: i for i, e in enumerate(elements)}
+    class_of = {m: c for c, members in enumerate(classes) for m in members}
+    r = len(classes)
+    mats = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i, members in enumerate(classes):
+        for k, zc in enumerate(classes):
+            z = elements[zc[0]]
+            for x in members:
+                y = _compose(_inverse(elements[x]), z)
+                mats[i][class_of[index[y]]][k] += 1
+    return mats

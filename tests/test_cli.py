@@ -284,3 +284,27 @@ def test_error_reported_as_exit_2(capsys, tmp_path):
     missing = str(tmp_path / "nope.txt")
     code = main(["spectrum", "--graph", missing])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "graph 2\n0 5 1\n",
+        "graph 3\n-1 0 1\n",
+        "graph 3\n0 -1 1\n",
+        "bipartite 2 3\n0 3 1\n",
+        "bipartite 2 3\n2 0 1\n",
+        "bipartite 2 3\n-1 0 1\n",
+        "bipartite 2 3\n0 -2 1\n",
+    ],
+    ids=["graph-high", "graph-negative-i", "graph-negative-j", "bipartite-high-j",
+         "bipartite-high-i", "bipartite-negative-i", "bipartite-negative-j"],
+)
+def test_graph_endpoint_out_of_range_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = main(["spectrum", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "outside" in captured.err
