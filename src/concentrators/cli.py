@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -24,7 +26,9 @@ from .pipeline import bicoset_concentrator_report
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a non-finite float raises ValueError (exit 2) instead of printing
+    # NaN/Infinity, which is not JSON
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     sys.stdout.write(text)
@@ -92,7 +96,8 @@ def _cmd_spectrum(args) -> int:
     _emit(
         {
             "eigenvalues": [_round12(x) for x in report.eigenvalues],
-            "mu_star": _round12(report.mu_star),
+            # a 1-vertex graph has no second eigenvalue
+            "mu_star": None if math.isnan(report.mu_star) else _round12(report.mu_star),
             "residual": _round12(report.residual),
         },
         args.out,
@@ -423,9 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process reuses; parsing leaves
+    no state on it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -4,6 +4,19 @@ Exhaustive mode enumerates every eligible input subset (feasible up to 24
 inputs) and reports the exact worst neighbor ratio with a deterministic,
 lexicographically-least witness.  Sampled mode draws random subsets per size
 and can only refute a claimed constant, never certify it.
+
+Exhaustive scans run on one kernel, ``_subset_chunks``.  Input subsets are
+bitmasks, visited in increasing order from 1 in chunks of 2^18 (so no mask
+array outgrows 2^18 entries).  The input bits are split into a low half of at
+most 12 bits and a high half; each half gets a table of the neighbor union of
+every subset of its bits, built by doubling (at most 4096 ``uint64`` entries
+each), so the neighbor union of mask ``m`` is ``lo[m & lo_mask] | hi[m >>
+lo_bits]``, one broadcast OR per chunk whatever the number of inputs.
+Neighbor sets must fit 64 output bits.  The exhaustive expander check always
+runs on the kernel (at most 24 inputs and outputs); bsc and magnifier scans
+below 17 inputs or beyond 64 outputs stay on a pure-Python loop, whose
+per-call overhead is lower there.  Sampled mode is a Python loop over drawn
+index tuples.
 """
 
 from __future__ import annotations
@@ -91,32 +104,75 @@ def _scan_python(masks, n_in, max_size, metric, target, early_exit):
     return best, checked, refuted
 
 
+def _union_table(masks) -> np.ndarray:
+    """Neighbor union of every subset of ``masks``, indexed by subset bitmask."""
+    table = np.zeros(1 << len(masks), dtype=np.uint64)
+    for v, mask in enumerate(masks):
+        table[1 << v : 2 << v] = table[: 1 << v] | np.uint64(mask)
+    return table
+
+
+def _subset_chunks(masks, n_in, max_size):
+    """Yield ``(m, sizes, union)`` for the nonempty input subsets of at most
+    ``max_size`` elements, as bitmasks in increasing order, one chunk of
+    [1, 2^n_in) at a time; chunks without an eligible mask are skipped.
+    ``m`` and ``union`` are ``uint64``, ``sizes`` is ``uint8``.  Needs
+    n_in <= 24 and neighbor masks below 2^64."""
+    lo_bits = min(n_in, 12)
+    lo = _union_table(masks[:lo_bits])
+    hi = _union_table(masks[lo_bits:n_in])
+    total = 1 << n_in
+    chunk = 1 << 18
+    # A chunk is a whole run of high halves (2^lo_bits divides both the chunk
+    # and the total), so lo[m & lo_mask] | hi[m >> lo_bits] over the chunk is
+    # one broadcast OR of a slice of ``hi`` with all of ``lo``.
+    # Each array is filtered before the next one is built, so at most two
+    # full-chunk uint64 arrays are alive at once.
+    for base in range(0, total, chunk):
+        stop = min(base + chunk, total)
+        m = np.arange(max(base, 1), stop, dtype=np.uint64)
+        sizes = np.bitwise_count(m)
+        eligible = sizes <= max_size
+        if not eligible.any():
+            continue
+        union = (hi[base >> lo_bits : stop >> lo_bits, None] | lo).ravel()
+        if base == 0:  # the empty set is not scanned
+            union = union[1:]
+        if not eligible.all():
+            m = m[eligible]
+            sizes = sizes[eligible]
+            union = union[eligible]
+        yield m, sizes, union
+
+
+def _lex_least(cands: np.ndarray) -> int:
+    """The bitmask among ``cands`` whose sorted index tuple is least."""
+    prefix = np.uint64(0)
+    while not (cands == prefix).any():
+        rest = cands & ~prefix
+        low = rest & (~rest + np.uint64(1))
+        nxt = low.min()
+        cands = cands[low == nxt]
+        prefix |= nxt
+    return int(prefix)
+
+
 def _scan_numpy(masks, n_in, max_size, metric_kind, target, early_exit):
-    """Vectorized scan over all bitmasks; needs n_out <= 64 and n_in <= 24."""
-    mask_arr = np.array(masks, dtype=np.uint64)
+    """Vectorized scan over all bitmasks; needs n_out <= 64 and n_in <= 24.
+
+    Neighbor unions come from ``_subset_chunks``'s split union tables.  After
+    each chunk every candidate at the chunk minimum is folded exactly, and a
+    set target stops the scan at the end of the first chunk that refutes it.
+    """
     best = None
     checked = 0
     refuted = None
-    total = 1 << n_in
-    chunk = 1 << 18
-    for start in range(1, total, chunk):
-        stop = min(start + chunk, total)
-        m = np.arange(start, stop, dtype=np.uint64)
-        sizes = np.bitwise_count(m).astype(np.int64)
-        eligible = sizes <= max_size
-        if not np.any(eligible):
-            continue
-        m = m[eligible]
-        sizes = sizes[eligible]
-        union = np.zeros(m.shape, dtype=np.uint64)
-        for v in range(n_in):
-            hit = (m >> np.uint64(v)) & np.uint64(1)
-            union |= np.where(hit.astype(bool), mask_arr[v], np.uint64(0))
+    for m, sizes, union in _subset_chunks(masks, n_in, max_size):
         if metric_kind == "exclude_self":
             union &= ~m
-        gammas = np.bitwise_count(union).astype(np.int64)
+        gammas = np.bitwise_count(union)
         checked += int(m.size)
-        ratios = gammas / sizes
+        ratios = gammas / sizes  # float64, exact on these small integers
         # fold every candidate attaining the chunk minimum exactly; equal
         # rationals in this range compare equal as floats
         tie = ratios <= ratios.min()
@@ -156,9 +212,15 @@ def _exhaustive_min_ratio(mat, n_in, max_size, exclude_self, target=None, early_
     return num / den, _mask_to_set(mask), checked
 
 
-def _sampled_min_ratio(mat, n_in, max_size, exclude_self, budget, seed):
+def _check_sampled(budget, seed):
     if seed is None:
         raise VerifyError("sampled mode requires an explicit seed")
+    if budget < 1:
+        raise VerifyError(f"sampled mode needs a budget of at least 1, got {budget}")
+
+
+def _sampled_min_ratio(mat, n_in, max_size, exclude_self, budget, seed):
+    _check_sampled(budget, seed)
     rng = seeded_rng(seed)
     masks = _neighbor_masks(mat)
     best = None
@@ -272,59 +334,97 @@ def expander_check(
     support = (X.inc > 0).astype(np.int64)
     masks = _neighbor_masks(support)
     max_size = n // 2 if restrict_half else n
-
-    def scan(combos):
-        best_c = None
-        best_set: tuple[int, ...] = ()
-        verdict = True
-        checked = 0
-        for combo in combos:
-            union = 0
-            for v in combo:
-                union |= masks[v]
-            size = len(combo)
-            nbrs = union.bit_count()
-            checked += 1
-            if not nbrs * n >= (n + c * (n - size)) * size - 1e-9:
-                verdict = False
-            if size < n:
-                cmax = n * (nbrs - size) / (size * (n - size))
-                key = (cmax, combo)
-                if best_c is None or key < (best_c, best_set):
-                    best_c, best_set = cmax, tuple(combo)
-            elif nbrs < size:
-                verdict = False
-        return best_c, best_set, checked, verdict
+    if n < 2:
+        raise VerifyError(f"no input set A with 0 < |A| < n among {n} inputs")
 
     if mode == "exhaustive":
         if n > EXHAUSTIVE_CAP:
             raise VerifyError(f"exhaustive mode capped at {EXHAUSTIVE_CAP} inputs")
-        combos = (
-            combo
-            for size in range(1, max_size + 1)
-            for combo in itertools.combinations(range(n), size)
-        )
-        best_c, best_set, checked, verdict = scan(combos)
+        best_c, best_set, checked, verdict = _expander_exhaustive(masks, n, max_size, c)
     elif mode == "sampled":
-        if seed is None:
-            raise VerifyError("sampled mode requires an explicit seed")
+        _check_sampled(budget, seed)
         rng = seeded_rng(seed)
         combos = (
             tuple(sorted(int(x) for x in rng.choice(n, size=size, replace=False)))
             for size in range(1, max_size + 1)
             for _ in range(budget)
         )
-        best_c, best_set, checked, verdict = scan(combos)
+        best_c, best_set, checked, verdict = _expander_sampled(masks, n, c, combos)
     else:
         raise VerifyError(f"unknown mode {mode!r}")
-    worst = best_c if best_c is not None else float("inf")
     return ConcentrationReport(
         mode=mode,
-        worst_ratio=worst,
+        worst_ratio=best_c,
         worst_set=best_set,
         subsets_checked=checked,
         verdict=verdict,
     )
+
+
+def _expander_exhaustive(masks, n, max_size, c):
+    """Every nonempty A with |A| <= max_size, on the subset kernel.
+
+    Returns (least cmax, its lexicographically least witness among float-equal
+    minima, subsets checked, verdict).  Both the inequality and cmax depend on
+    (|A|, |N(A)|) alone, so they are evaluated once per pair, with the scalar
+    expressions of the sampled scan, and looked up per subset."""
+    pairs = [(size, nbrs) for size in range(max_size + 1) for nbrs in range(n + 1)]
+    ok_tab = np.array([_expansion_holds(n, c, size, nbrs) for size, nbrs in pairs])
+    cmax_tab = np.array(
+        [_largest_c(n, size, nbrs) if 0 < size < n else np.inf for size, nbrs in pairs]
+    )
+    best_c = None
+    best_set: tuple[int, ...] = ()
+    verdict = True
+    checked = 0
+    for m, sizes, union in _subset_chunks(masks, n, max_size):
+        key = sizes.astype(np.intp) * (n + 1) + np.bitwise_count(union)
+        checked += int(m.size)
+        if verdict and not ok_tab[key].all():
+            verdict = False
+        cmax = cmax_tab[key]
+        low = cmax.min()
+        if low < np.inf and (best_c is None or low <= best_c):
+            cand = _mask_to_set(_lex_least(m[cmax == low]))
+            if best_c is None or low < best_c or cand < best_set:
+                best_c, best_set = float(low), cand
+    return best_c, best_set, checked, verdict
+
+
+def _expansion_holds(n, c, size, nbrs) -> bool:
+    """|N(A)| >= (1 + c(1 - |A|/n))|A|, with a 1e-9 slack, and Hall's condition
+    when |A| = n."""
+    if not nbrs * n >= (n + c * (n - size)) * size - 1e-9:
+        return False
+    return size < n or nbrs >= size
+
+
+def _largest_c(n, size, nbrs) -> float:
+    """The largest c for which a set of this size and neighbor count passes."""
+    return n * (nbrs - size) / (size * (n - size))
+
+
+def _expander_sampled(masks, n, c, combos):
+    """The exhaustive rule over the given index tuples, one at a time."""
+    best_c = None
+    best_set: tuple[int, ...] = ()
+    verdict = True
+    checked = 0
+    for combo in combos:
+        union = 0
+        for v in combo:
+            union |= masks[v]
+        size = len(combo)
+        nbrs = union.bit_count()
+        checked += 1
+        if not _expansion_holds(n, c, size, nbrs):
+            verdict = False
+        if size < n:
+            cmax = _largest_c(n, size, nbrs)
+            key = (cmax, combo)
+            if best_c is None or key < (best_c, best_set):
+                best_c, best_set = cmax, tuple(combo)
+    return best_c, best_set, checked, verdict
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Per-element pure-Python reference implementations of the group core.
+"""Per-element pure-Python reference implementations.
 
-These are the loops that the array-backed code in ``concentrators`` replaced.
-They work on image tuples only and share nothing with the arrays, so the
-differential tests in ``test_group_core.py`` compare two independent
+These are the loops that the array-backed group core and the subset-scan
+kernel in ``concentrators`` replaced.  They work on image tuples and Python
+ints only and share nothing with the arrays, so the differential tests in
+``test_group_core.py`` and ``test_verify.py`` compare two independent
 computations.
 """
+
+import itertools
 
 from concentrators.permgroup import GroupError
 
@@ -156,3 +159,36 @@ def class_matrices(elements, classes):
                 y = _compose(_inverse(elements[x]), z)
                 mats[i][class_of[index[y]]][k] += 1
     return mats
+
+
+def expander_scan(inc, c, restrict_half):
+    """Exhaustive relative-expansion check over index tuples.
+
+    ``inc`` is a square 0/1 incidence (nested lists or array rows).  Returns
+    (least cmax, its witness, subsets checked, verdict) with the witness the
+    lexicographically least tuple among float-equal minima, as the
+    ``itertools`` scan of ``expander_check`` did."""
+    n = len(inc)
+    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in inc]
+    max_size = n // 2 if restrict_half else n
+    best_c = None
+    best_set = ()
+    verdict = True
+    checked = 0
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(range(n), size):
+            union = 0
+            for v in combo:
+                union |= masks[v]
+            nbrs = union.bit_count()
+            checked += 1
+            if not nbrs * n >= (n + c * (n - size)) * size - 1e-9:
+                verdict = False
+            if size < n:
+                cmax = n * (nbrs - size) / (size * (n - size))
+                key = (cmax, combo)
+                if best_c is None or key < (best_c, best_set):
+                    best_c, best_set = cmax, tuple(combo)
+            elif nbrs < size:
+                verdict = False
+    return best_c, best_set, checked, verdict

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,3 +312,75 @@ def test_graph_endpoint_out_of_range_exits_2(capsys, tmp_path, text):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err and "outside" in captured.err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _main_exit(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_expander_without_eligible_subset_exits_2(capsys, tmp_path):
+    p = tmp_path / "b11.txt"
+    p.write_text("bipartite 1 1\n0 0 1\n")
+    for extra in ([], ["--no-restrict-half"]):
+        code = main(["verify-expander", "--graph", str(p), "--c", "0.5", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+def test_spectrum_single_vertex_mu_star_null(capsys, tmp_path):
+    p = tmp_path / "g1.txt"
+    p.write_text("graph 1\n")
+    code, out = run(capsys, ["spectrum", "--graph", str(p)])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["mu_star"] is None
+    assert payload["eigenvalues"] == [0.0]
+
+
+def test_non_finite_float_exits_2(capsys, c4_file):
+    for c in ("inf", "nan"):
+        code = main(["verify-magnifier", "--graph", c4_file, "--c", c])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+def test_repeated_main_matches_fresh_processes(capsys, tmp_path, c4_file, s3_file, swap_file):
+    spec = tmp_path / "spec.json"
+    calls = [
+        ["spectrum", "--graph", c4_file, "--out", str(spec)],
+        ["spectrum", "--graph", c4_file],
+        ["chartable", "--group", s3_file, "--subgroup", swap_file],
+        ["chartable", "--group", s3_file],
+        ["verify-magnifier", "--graph", c4_file, "--c", "5"],
+        ["spectrum", "--graph", c4_file, "--bogus"],
+        ["verify-magnifier", "--graph", c4_file],
+        ["lemma11", "--graph", c4_file, "--mode", "sampled", "--budget", "4", "--seed", "3"],
+        ["lemma11"],
+        ["lemma11", "--graph", c4_file],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(C.__file__).parents[1]))
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "concentrators", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        code = _main_exit(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+        if argv[-2:] == ["--out", str(spec)]:
+            assert spec.read_text() == out
+    assert codes == [0, 0, 0, 0, 1, 2, 0, 0, 2, 0]

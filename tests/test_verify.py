@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concentrators as C
 from concentrators.designs import design_bipartite
@@ -13,6 +17,8 @@ from concentrators.verify import (
     expander_check,
     magnifier_constant,
 )
+
+import oracles
 
 
 def cycle_graph(n):
@@ -204,3 +210,127 @@ def test_tanner_property_over_bibd_corpus(mathieu_chain):
             c = tanner_bound(n, m, k, r, lam2, alpha)
             rep = bsc_check(X, alpha=alpha, c=c)
             assert rep.verdict, (n, m, alpha, c, rep.worst_ratio)
+
+
+def _plain(size, union, mask):
+    return union.bit_count(), size
+
+
+def _exclude_self(size, union, mask):
+    return (union & ~mask).bit_count(), size
+
+
+@st.composite
+def sparse_masks(draw, bits):
+    """Neighbor bitmasks of ``bits`` inputs with at most 3 outputs each, so
+    ratios tie often."""
+    n_out = draw(st.integers(1, 64))
+    rows = draw(st.lists(st.frozensets(st.integers(0, n_out - 1), max_size=3),
+                         min_size=bits, max_size=bits))
+    return [sum(1 << j for j in row) for row in rows]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), bits=st.integers(17, 20), max_size=st.integers(1, 4),
+       kind=st.sampled_from(["plain", "exclude_self"]))
+def test_kernel_matches_python_scan(data, bits, max_size, kind):
+    masks = data.draw(sparse_masks(bits))
+    metric = _plain if kind == "plain" else _exclude_self
+    fast = _scan_numpy(masks, bits, max_size, kind, None, False)
+    assert fast == _scan_python(masks, bits, max_size, metric, None, False)
+    assert fast[2] is None
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), bits=st.integers(19, 20), max_size=st.integers(1, 20))
+def test_kernel_early_exit_in_second_chunk(data, bits, max_size):
+    # Inputs 0..17 each reach their own output (plus extras above bit 23), so
+    # no subset of them has fewer neighbors than elements.  Input 18 reaches
+    # nothing; it first appears at mask 2^18, the start of the second chunk.
+    extra = data.draw(st.lists(st.integers(0, 2**40 - 1), min_size=bits, max_size=bits))
+    masks = [(1 << v) | (extra[v] << 24) for v in range(18)] + [0]
+    masks += [extra[v] << 24 for v in range(19, bits)]
+    best, checked, refuted = _scan_numpy(masks, bits, max_size, "plain", 1.0, True)
+    assert refuted == best == (0, 1, 1 << 18)
+    # every eligible mask below 2^19, the end of the second chunk
+    assert checked == sum(math.comb(19, s) for s in range(1, min(max_size, 19) + 1))
+
+
+def _expander_matches_oracle(inc, c, restrict_half):
+    X = C.BipartiteGraph(np.array(inc, dtype=np.int64))
+    rep = expander_check(X, c, restrict_half=restrict_half)
+    want = oracles.expander_scan(inc, c, restrict_half)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked, rep.verdict) == want
+    return rep
+
+
+@st.composite
+def square_incidences(draw, max_n=10):
+    n = draw(st.integers(2, max_n))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(inc=square_incidences(), restrict_half=st.booleans(),
+       c=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+def test_expander_kernel_matches_itertools_scan(inc, restrict_half, c):
+    rep = _expander_matches_oracle(inc, c, restrict_half)
+    failing = _expander_matches_oracle(inc, rep.worst_ratio + 0.25, restrict_half)
+    assert not failing.verdict
+
+
+def _cover(n, steps):
+    adj = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for s in steps:
+            adj[i, (i + s) % n] = adj[(i + s) % n, i] = 1
+    return C.extended_double_cover(C.Graph(adj)).inc.tolist()
+
+
+@pytest.mark.parametrize("restrict_half", [True, False])
+@pytest.mark.parametrize(
+    "inc",
+    [
+        np.eye(6, dtype=np.int64).tolist(),  # every subset ties at cmax 0
+        np.ones((5, 5), dtype=np.int64).tolist(),
+        _cover(8, [1]),
+        _cover(9, [1, 3]),
+        [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],  # negative cmax
+    ],
+    ids=["matching", "complete", "cover-c8", "cover-c9-chords", "collisions"],
+)
+def test_expander_kernel_tied_minima(inc, restrict_half):
+    for c in (0.0, 1.0):
+        _expander_matches_oracle(inc, c, restrict_half)
+
+
+def test_expander_kernel_across_chunks():
+    # 19 inputs: the half-restricted sets fill masks up to 2^19, two chunks
+    rep = _expander_matches_oracle(_cover(19, [1]), 0.5, True)
+    assert rep.subsets_checked == 2**18 - 1
+
+
+def test_expander_tie_across_chunks():
+    # {1} (first chunk) and {0, 1, 18} (second chunk, masks from 2^18) both
+    # attain cmax 0; the later one is lexicographically smaller.
+    n = 19
+    nbrs = {0: {0, 1}, 1: {2}, 18: {0}}
+    nbrs.update({i: {i, i + 1, (i + 2) % n} for i in range(2, 18)})
+    inc = [[int(j in nbrs[i]) for j in range(n)] for i in range(n)]
+    rep = _expander_matches_oracle(inc, 0.5, True)
+    assert (rep.worst_ratio, rep.worst_set) == (0.0, (0, 1, 18))
+
+
+def test_expander_no_eligible_subset():
+    X = C.BipartiteGraph(np.ones((1, 1), dtype=np.int64))
+    for restrict_half in (True, False):
+        with pytest.raises(VerifyError):
+            expander_check(X, c=0.5, restrict_half=restrict_half)
+
+
+def test_sampled_mode_needs_positive_budget():
+    with pytest.raises(VerifyError):
+        bsc_check(k33(), alpha=1.0, c=1.0, mode="sampled", budget=0, seed=1)
+    with pytest.raises(VerifyError):
+        expander_check(k33(), c=1.0, mode="sampled", budget=0, seed=1)
