@@ -6,17 +6,19 @@ lexicographically-least witness.  Sampled mode draws random subsets per size
 and can only refute a claimed constant, never certify it.
 
 Exhaustive scans run on one kernel, ``_subset_chunks``.  Input subsets are
-bitmasks, visited in increasing order from 1 in chunks of 2^18 (so no mask
-array outgrows 2^18 entries).  The input bits are split into a low half of at
-most 12 bits and a high half; each half gets a table of the neighbor union of
-every subset of its bits, built by doubling (at most 4096 ``uint64`` entries
-each), so the neighbor union of mask ``m`` is ``lo[m & lo_mask] | hi[m >>
-lo_bits]``, one broadcast OR per chunk whatever the number of inputs.
-Neighbor sets must fit 64 output bits.  The exhaustive expander check always
-runs on the kernel (at most 24 inputs and outputs); bsc and magnifier scans
-below 17 inputs or beyond 64 outputs stay on a pure-Python loop, whose
-per-call overhead is lower there.  Sampled mode is a Python loop over drawn
-index tuples.
+bitmasks, visited in increasing order in the chunks [1, 2^18 + 1),
+[2^18 + 1, 2^19 + 1), ... (so no array grows much past 2^18 entries).  The
+input bits are split into a low half of at most 12 bits and a high half; each
+half gets a table of the neighbor union of every subset of its bits, built by
+doubling (at most 4096 ``uint64`` entries each), so the neighbor union of mask
+``m`` is ``lo[m & lo_mask] | hi[m >> lo_bits]``, one broadcast OR per chunk
+whatever the number of inputs.  Neighbor sets must fit 64 output bits.  The
+exhaustive expander check always runs on the kernel (at most 24 inputs and
+outputs).  bsc and magnifier scans below 17 inputs or beyond 64 outputs stay
+on a pure-Python loop: ``verify-bsc`` stops early after the first refuting
+subset there but only at a chunk end on the kernel, so moving them would
+change the ``subsets_checked`` it reports.  Sampled mode is a Python loop
+over drawn index tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .graphs import BipartiteGraph, Graph, extended_double_cover
 from .permgroup import seeded_rng
 
 EXHAUSTIVE_CAP = 24
-_NUMPY_MIN_BITS = 17  # below this the pure-python loop wins on overhead
+_NUMPY_MIN_BITS = 17  # below this bsc early exits stop per subset, not per chunk
 
 
 class VerifyError(ValueError):
@@ -114,30 +116,30 @@ def _union_table(masks) -> np.ndarray:
 
 def _subset_chunks(masks, n_in, max_size):
     """Yield ``(m, sizes, union)`` for the nonempty input subsets of at most
-    ``max_size`` elements, as bitmasks in increasing order, one chunk of
-    [1, 2^n_in) at a time; chunks without an eligible mask are skipped.
-    ``m`` and ``union`` are ``uint64``, ``sizes`` is ``uint8``.  Needs
-    n_in <= 24 and neighbor masks below 2^64."""
+    ``max_size`` elements, as bitmasks in increasing order, one chunk
+    [1 + k*2^18, 1 + (k+1)*2^18) of [1, 2^n_in) at a time; chunks without an
+    eligible mask are skipped.  ``m`` and ``union`` are ``uint64``, ``sizes``
+    is ``uint8``.  Needs n_in <= 24 and neighbor masks below 2^64."""
     lo_bits = min(n_in, 12)
     lo = _union_table(masks[:lo_bits])
     hi = _union_table(masks[lo_bits:n_in])
     total = 1 << n_in
     chunk = 1 << 18
-    # A chunk is a whole run of high halves (2^lo_bits divides both the chunk
-    # and the total), so lo[m & lo_mask] | hi[m >> lo_bits] over the chunk is
-    # one broadcast OR of a slice of ``hi`` with all of ``lo``.
+    # lo[m & lo_mask] | hi[m >> lo_bits] over a chunk is one broadcast OR of
+    # the high rows the chunk touches with all of ``lo``, sliced to the chunk.
     # Each array is filtered before the next one is built, so at most two
-    # full-chunk uint64 arrays are alive at once.
-    for base in range(0, total, chunk):
-        stop = min(base + chunk, total)
-        m = np.arange(max(base, 1), stop, dtype=np.uint64)
+    # chunk-sized uint64 arrays are alive at once.
+    for start in range(1, total, chunk):
+        stop = min(start + chunk, total)
+        m = np.arange(start, stop, dtype=np.uint64)
         sizes = np.bitwise_count(m)
         eligible = sizes <= max_size
         if not eligible.any():
             continue
-        union = (hi[base >> lo_bits : stop >> lo_bits, None] | lo).ravel()
-        if base == 0:  # the empty set is not scanned
-            union = union[1:]
+        first = start >> lo_bits
+        last = ((stop - 1) >> lo_bits) + 1
+        offset = first << lo_bits
+        union = (hi[first:last, None] | lo).ravel()[start - offset : stop - offset]
         if not eligible.all():
             m = m[eligible]
             sizes = sizes[eligible]

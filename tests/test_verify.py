@@ -241,19 +241,41 @@ def test_kernel_matches_python_scan(data, bits, max_size, kind):
     assert fast[2] is None
 
 
+def _own_outputs(extra, inputs):
+    """Input v reaches output v plus ``extra[v]`` shifted above bit 23, so no
+    subset of these inputs has fewer neighbors than elements."""
+    return {v: (1 << v) | (extra[v] << 24) for v in inputs}
+
+
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), bits=st.integers(19, 20), max_size=st.integers(1, 20))
-def test_kernel_early_exit_in_second_chunk(data, bits, max_size):
-    # Inputs 0..17 each reach their own output (plus extras above bit 23), so
-    # no subset of them has fewer neighbors than elements.  Input 18 reaches
-    # nothing; it first appears at mask 2^18, the start of the second chunk.
+def test_kernel_early_exit_at_end_of_first_chunk(data, bits, max_size):
+    # Chunks are [1, 2^18 + 1), [2^18 + 1, 2^19 + 1), ...  Input 18 reaches
+    # nothing, so the first refutation is mask 2^18, the last of the first chunk.
     extra = data.draw(st.lists(st.integers(0, 2**40 - 1), min_size=bits, max_size=bits))
-    masks = [(1 << v) | (extra[v] << 24) for v in range(18)] + [0]
-    masks += [extra[v] << 24 for v in range(19, bits)]
+    nbrs = _own_outputs(extra, [v for v in range(bits) if v != 18])
+    masks = [nbrs.get(v, 0) for v in range(bits)]
     best, checked, refuted = _scan_numpy(masks, bits, max_size, "plain", 1.0, True)
     assert refuted == best == (0, 1, 1 << 18)
-    # every eligible mask below 2^19, the end of the second chunk
-    assert checked == sum(math.comb(19, s) for s in range(1, min(max_size, 19) + 1))
+    # every eligible mask below 2^18, and 2^18 itself
+    assert checked == sum(math.comb(18, s) for s in range(1, min(max_size, 18) + 1)) + 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), bits=st.integers(19, 20), max_size=st.integers(2, 20))
+def test_kernel_early_exit_in_second_chunk(data, bits, max_size):
+    # Input 18 reaches only output 0, which is all that input 0 reaches, so
+    # {0, 18} (mask 2^18 + 1, the first of the second chunk) is the first set
+    # with fewer neighbors than elements, and the only one at ratio 1/2 there.
+    extra = data.draw(st.lists(st.integers(0, 2**40 - 1), min_size=bits, max_size=bits))
+    nbrs = _own_outputs(extra, range(1, bits))
+    nbrs[0] = nbrs[18] = 1
+    masks = [nbrs[v] for v in range(bits)]
+    best, checked, refuted = _scan_numpy(masks, bits, max_size, "plain", 1.0, True)
+    assert refuted == best == (1, 2, (1 << 18) | 1)
+    # every eligible mask below 2^19, and 2^19 itself when there are 20 inputs
+    below = sum(math.comb(19, s) for s in range(1, min(max_size, 19) + 1))
+    assert checked == below + (bits > 19)
 
 
 def _expander_matches_oracle(inc, c, restrict_half):
@@ -312,7 +334,7 @@ def test_expander_kernel_across_chunks():
 
 
 def test_expander_tie_across_chunks():
-    # {1} (first chunk) and {0, 1, 18} (second chunk, masks from 2^18) both
+    # {1} (first chunk) and {0, 1, 18} (second chunk, masks from 2^18 + 1) both
     # attain cmax 0; the later one is lexicographically smaller.
     n = 19
     nbrs = {0: {0, 1}, 1: {2}, 18: {0}}
