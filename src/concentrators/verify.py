@@ -15,10 +15,10 @@ doubling (at most 4096 ``uint64`` entries each), so the neighbor union of mask
 whatever the number of inputs.  Neighbor sets must fit 64 output bits.  The
 exhaustive expander check always runs on the kernel (at most 24 inputs and
 outputs).  bsc and magnifier scans below 17 inputs or beyond 64 outputs stay
-on a pure-Python loop: ``verify-bsc`` stops early after the first refuting
-subset there but only at a chunk end on the kernel, so moving them would
-change the ``subsets_checked`` it reports.  Sampled mode is a Python loop
-over drawn index tuples.
+on a pure-Python loop.  The 17-input gate stays because ``verify-bsc`` stops
+right after the first refuting subset on that loop but only at a chunk end on
+the kernel, so moving small bsc scans would change their ``subsets_checked``.
+Sampled mode is a Python loop over drawn index tuples.
 """
 
 from __future__ import annotations
