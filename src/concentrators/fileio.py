@@ -98,13 +98,18 @@ def load_multiset(path: str | Path) -> tuple[int, tuple[Permutation, ...]]:
     return parse_permutation_list(Path(path).read_text())
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _edge_line(ln: str, n_rows: int, n_cols: int) -> tuple[int, int, int]:
-    """Parse ``i j mult`` with 0 <= i < n_rows and 0 <= j < n_cols."""
+    """Parse ``i j mult`` with 0 <= i < n_rows, 0 <= j < n_cols and an int64 mult."""
     i, j, mult = (int(t) for t in ln.split())
     if not (0 <= i < n_rows and 0 <= j < n_cols):
         raise FormatError(
             f"edge endpoint outside 0..{n_rows - 1} x 0..{n_cols - 1}: {ln!r}"
         )
+    if not _INT64.min <= mult <= _INT64.max:
+        raise FormatError(f"edge multiplicity does not fit int64: {ln!r}")
     return i, j, mult
 
 

@@ -5,6 +5,17 @@ operator (Cayley, coset, or bi-coset Gram), records the second-largest
 absolute eigenvalue per trial, and compares the empirical tail frequency with
 the evaluated bound.  Trial t of a batch draws from ``seeded_rng(seed, t)``,
 so results are independent of execution order and bit-reproducible.
+
+Every batch and every exact enumeration goes through one path: the operators
+are stacked ``SOLVE_CHUNK_BYTES`` at a time and solved by one certified LAPACK
+call per stack (``spectral.sym_eigensystems``), so memory stays flat as the
+trial count grows.  A trial whose LAPACK mu* lies within
+``TIE_BAND * max(||M||_F, 1)`` of the event threshold is re-solved by
+``jacobi_eigensystem``, and its mu* and top eigenvalue come from that solve.
+The two solvers' eigenvalues differ by less than their certified errors
+(``DEFAULT_TOL * ||M||_F`` each), which the band covers, so every verdict is
+the one the Jacobi solver alone gives; that includes operators whose mu*
+equals the threshold exactly, which Jacobi decides by its rounding.
 """
 
 from __future__ import annotations
@@ -33,9 +44,14 @@ from .permgroup import (
     right_cosets,
     seeded_rng,
 )
-from .spectral import sym_eigenvalues
+from .spectral import DEFAULT_TOL, jacobi_eigensystem, sym_eigensystems, sym_eigenvalues
 
 ENUMERATION_CAP = 10**4
+# Operator bytes per stacked solve (512 KiB).  The solve holds about four more
+# buffers of this size, so a batch's peak memory does not grow with its trials.
+SOLVE_CHUNK_BYTES = 1 << 19
+# Half-width of the tie band around a threshold, relative to max(||M||_F, 1).
+TIE_BAND = 4 * DEFAULT_TOL
 
 
 class MonteCarloError(ValueError):
@@ -128,6 +144,67 @@ def _sample_indices(order: int, k: int, seed: int, trial: int) -> list[int]:
     return [int(i) for i in rng.integers(0, order, size=k)]
 
 
+def _solve_stack(stack: np.ndarray, threshold: float, mu: list, top: list) -> None:
+    """Append each stacked operator's mu* and top |eigenvalue|, ties arbitrated."""
+    w, _, _ = sym_eigensystems(stack)
+    by_abs = np.sort(np.abs(w), axis=1)
+    mus = by_abs[:, -2] if w.shape[1] >= 2 else np.full(len(w), math.nan)
+    tops = by_abs[:, -1]
+    band = TIE_BAND * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
+    for i in np.flatnonzero(np.abs(mus - threshold) <= band):
+        wj, _, _ = jacobi_eigensystem(stack[i])
+        by_abs_j = np.sort(np.abs(wj))
+        mus[i], tops[i] = by_abs_j[-2], by_abs_j[-1]
+    mu.extend(mus.tolist())
+    top.extend(tops.tolist())
+
+
+def _spectra(operators, threshold: float) -> tuple[list[float], list[float]]:
+    """mu* and top |eigenvalue| of each same-shape operator, in order.
+
+    The operators are copied into a stack of at most ``SOLVE_CHUNK_BYTES`` and
+    solved a stack at a time, with near-threshold ties re-solved by Jacobi.
+    """
+    mu: list[float] = []
+    top: list[float] = []
+    stack, filled = None, 0
+    for op in operators:
+        if stack is None:
+            size = max(1, SOLVE_CHUNK_BYTES // (8 * op.size))
+            stack = np.empty((size, *op.shape))
+        stack[filled] = op
+        filled += 1
+        if filled == len(stack):
+            _solve_stack(stack, threshold, mu, top)
+            filled = 0
+    if filled:
+        _solve_stack(stack[:filled], threshold, mu, top)
+    return mu, top
+
+
+def _trial_spectra(G, k, trials, seed, build, threshold):
+    """Draw trial t's multiset from ``seeded_rng(seed, t)``, build its operator
+    with ``build(t, S)``, and return (mu*, top |eigenvalue|) per trial."""
+    order = len(G)
+    operators = (
+        build(t, tuple(G.elements[i] for i in _sample_indices(order, k, seed, t)))
+        for t in range(trials)
+    )
+    return _spectra(operators, threshold)
+
+
+def _subgroup_bounds(G, H, table, k, eps, variant):
+    """(paper bound, (paper, support) pairs, weakest bound) of thm15/thm18."""
+    table = character_table(G) if table is None else table
+    sums = dim_sums_both(G, H, table)
+    tb_paper = bound_eval(BoundInputs(D_value=sums["paper"], k=k, eps=eps, variant=variant))
+    tb_support = bound_eval(
+        BoundInputs(D_value=sums["support"], k=k, eps=eps, variant=variant)
+    )
+    bounds = (("paper", tb_paper.bound), ("support", tb_support.bound))
+    return tb_paper, bounds, max(tb_paper.bound, tb_support.bound)
+
+
 def run_cayley_trials(
     G: FiniteGroup,
     k: int,
@@ -142,11 +219,9 @@ def run_cayley_trials(
     table = character_table(G) if table is None else table
     D = dim_sum_D(G, table)
     tb = bound_eval(BoundInputs(D_value=D, k=k, eps=eps, variant="thm14"))
-    mu_values = []
-    for t in range(trials):
-        picks = _sample_indices(len(G), k, seed, t)
-        S = tuple(G.elements[i] for i in picks)
-        mu_values.append(sym_eigenvalues(cayley_operator(G, S)).mu_star)
+    mu_values, _ = _trial_spectra(
+        G, k, trials, seed, lambda t, S: cayley_operator(G, S), tb.threshold
+    )
     violating, tail = _mu_tail(mu_values, tb.threshold)
     return TrialBatch(
         variant="thm14",
@@ -181,23 +256,17 @@ def run_coset_trials(
         raise MonteCarloError(f"need k >= 1 and trials >= 1, got k={k}, trials={trials}")
     if len(right_cosets(G, H)) < 2:
         raise MonteCarloError("coset space needs at least 2 cosets for mu*")
-    table = character_table(G) if table is None else table
-    sums = dim_sums_both(G, H, table)
-    tb_paper = bound_eval(BoundInputs(D_value=sums["paper"], k=k, eps=eps, variant="thm15"))
-    tb_support = bound_eval(
-        BoundInputs(D_value=sums["support"], k=k, eps=eps, variant="thm15")
-    )
-    mu_values = []
+    tb, bounds, bound = _subgroup_bounds(G, H, table, k, eps, "thm15")
     flags = []
-    for t in range(trials):
-        picks = _sample_indices(len(G), k, seed, t)
-        S = tuple(G.elements[i] for i in picks)
+
+    def build(t, S):
         mat, regular = _normalized_coset_matrix(G, H, S)
         if not regular:
             flags.append(f"trial {t}: non-regular coset graph, normalized by max degree")
-        mu_values.append(sym_eigenvalues(mat).mu_star)
-    violating, tail = _mu_tail(mu_values, tb_paper.threshold)
-    bound = max(tb_paper.bound, tb_support.bound)
+        return mat
+
+    mu_values, _ = _trial_spectra(G, k, trials, seed, build, tb.threshold)
+    violating, tail = _mu_tail(mu_values, tb.threshold)
     return TrialBatch(
         variant="thm15",
         group=G.label(),
@@ -206,10 +275,10 @@ def run_coset_trials(
         eps=eps,
         trials=trials,
         seed=seed,
-        threshold=tb_paper.threshold,
+        threshold=tb.threshold,
         mu_values=tuple(mu_values),
         empirical_tail=tail,
-        bounds=(("paper", tb_paper.bound), ("support", tb_support.bound)),
+        bounds=bounds,
         bound=bound,
         vacuous=bound >= 1.0,
         violating_trials=violating,
@@ -238,24 +307,14 @@ def run_bicoset_trials(
         raise MonteCarloError("trials must be >= 1")
     if len(right_cosets(G, L)) < 2:
         raise MonteCarloError("input coset space is 1-dimensional; mu* undefined")
-    table = character_table(G) if table is None else table
-    sums = dim_sums_both(G, L, table)
-    tb_paper = bound_eval(BoundInputs(D_value=sums["paper"], k=k, eps=eps, variant="thm18"))
-    tb_support = bound_eval(
-        BoundInputs(D_value=sums["support"], k=k, eps=eps, variant="thm18")
-    )
-    mu_values = []
-    top_values = []
-    for t in range(trials):
-        picks = _sample_indices(len(G), k, seed, t)
-        S = tuple(G.elements[i] for i in picks)
+    tb, bounds, bound = _subgroup_bounds(G, L, table, k, eps, "thm18")
+
+    def build(t, S):
         A = bicoset_graph(G, L, N, S).inc.astype(float)
-        M = A @ A.T / (2.0 * k * k)
-        report = sym_eigenvalues(M)
-        mu_values.append(report.mu_star)
-        top_values.append(max(abs(report.eigenvalues[0]), abs(report.eigenvalues[-1])))
-    violating, tail = _mu_tail(mu_values, tb_paper.threshold)
-    bound = max(tb_paper.bound, tb_support.bound)
+        return A @ A.T / (2.0 * k * k)
+
+    mu_values, top_values = _trial_spectra(G, k, trials, seed, build, tb.threshold)
+    violating, tail = _mu_tail(mu_values, tb.threshold)
     return TrialBatch(
         variant="thm18",
         group=G.label(),
@@ -264,10 +323,10 @@ def run_bicoset_trials(
         eps=eps,
         trials=trials,
         seed=seed,
-        threshold=tb_paper.threshold,
+        threshold=tb.threshold,
         mu_values=tuple(mu_values),
         empirical_tail=tail,
-        bounds=(("paper", tb_paper.bound), ("support", tb_support.bound)),
+        bounds=bounds,
         bound=bound,
         vacuous=bound >= 1.0,
         violating_trials=violating,
@@ -278,34 +337,30 @@ def run_bicoset_trials(
 
 # -- exact small-case enumeration ---------------------------------------------
 
+def _enumerated_tail(G, k, eps, cap, build) -> tuple[float, int]:
+    """P(mu* > eps) of the operators ``build(S)`` over all |G|^k ordered draws."""
+    total = len(G) ** k
+    if total > cap:
+        raise MonteCarloError(f"|G|^k = {total} exceeds enumeration cap {cap}")
+    draws = itertools.product(G.elements, repeat=k)
+    mu_values, _ = _spectra((build(S) for S in draws), eps)
+    return sum(mu > eps for mu in mu_values) / total, total
+
+
 def enumerate_cayley_tail(
     G: FiniteGroup, k: int, eps: float, cap: int = ENUMERATION_CAP
 ) -> tuple[float, int]:
     """Exact P(mu* > eps) over all |G|^k ordered draws; feasible when <= cap."""
-    total = len(G) ** k
-    if total > cap:
-        raise MonteCarloError(f"|G|^k = {total} exceeds enumeration cap {cap}")
-    exceed = 0
-    for combo in itertools.product(G.elements, repeat=k):
-        mu = sym_eigenvalues(cayley_operator(G, combo)).mu_star
-        if mu > eps:
-            exceed += 1
-    return exceed / total, total
+    return _enumerated_tail(G, k, eps, cap, lambda S: cayley_operator(G, S))
 
 
 def enumerate_coset_tail(
     G: FiniteGroup, H: FiniteGroup, k: int, eps: float, cap: int = ENUMERATION_CAP
 ) -> tuple[float, int]:
     """Exact coset-graph tail over all |G|^k ordered draws."""
-    total = len(G) ** k
-    if total > cap:
-        raise MonteCarloError(f"|G|^k = {total} exceeds enumeration cap {cap}")
-    exceed = 0
-    for combo in itertools.product(G.elements, repeat=k):
-        mat, _ = _normalized_coset_matrix(G, H, combo)
-        if sym_eigenvalues(mat).mu_star > eps:
-            exceed += 1
-    return exceed / total, total
+    return _enumerated_tail(
+        G, k, eps, cap, lambda S: _normalized_coset_matrix(G, H, S)[0]
+    )
 
 
 def shifted_product_spectrum_matches(
@@ -330,11 +385,12 @@ def shifted_product_spectrum_matches(
     op = cayley_operator(G, b_star)
     nu = np.array(sym_eigenvalues(op).eigenvalues)
     mapped = np.sort(((k * k - k) * nu + k) / (2.0 * k * k))
-    direct = np.sort(np.array(sym_eigenvalues(M).eigenvalues))
+    report = sym_eigenvalues(M)
+    direct = np.sort(np.array(report.eigenvalues))
     if not np.allclose(mapped, direct, atol=tol):
         return False
     by_abs = np.sort(np.abs(mapped))[::-1]
-    return bool(abs(by_abs[1] - sym_eigenvalues(M).mu_star) <= tol)
+    return bool(abs(by_abs[1] - report.mu_star) <= tol)
 
 
 # -- reporting -----------------------------------------------------------------

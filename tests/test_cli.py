@@ -384,3 +384,23 @@ def test_repeated_main_matches_fresh_processes(capsys, tmp_path, c4_file, s3_fil
         if argv[-2:] == ["--out", str(spec)]:
             assert spec.read_text() == out
     assert codes == [0, 0, 0, 0, 1, 2, 0, 0, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "graph 3\n0 1 99999999999999999999999\n",
+        "graph 3\n0 1 -99999999999999999999999\n",
+        "bipartite 2 3\n1 2 99999999999999999999999\n",
+        "bipartite 2 3\n0 0 -9223372036854775809\n",
+    ],
+    ids=["graph-huge", "graph-huge-negative", "bipartite-huge", "bipartite-below-int64"],
+)
+def test_graph_multiplicity_overflow_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = main(["spectrum", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "int64" in captured.err
