@@ -439,7 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    # MemoryError: a size header too large to allocate, e.g. ``graph 10000000``
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -134,11 +134,6 @@ def _normalized_coset_matrix(G, H, S) -> tuple[np.ndarray, bool]:
     return adj / sums.max(), regular
 
 
-def _mu_tail(mu_values, threshold):
-    violating = tuple(i for i, mu in enumerate(mu_values) if mu > threshold)
-    return violating, len(violating) / len(mu_values)
-
-
 def _sample_indices(order: int, k: int, seed: int, trial: int) -> list[int]:
     rng = seeded_rng(seed, trial)
     return [int(i) for i in rng.integers(0, order, size=k)]
@@ -182,27 +177,63 @@ def _spectra(operators, threshold: float) -> tuple[list[float], list[float]]:
     return mu, top
 
 
-def _trial_spectra(G, k, trials, seed, build, threshold):
-    """Draw trial t's multiset from ``seeded_rng(seed, t)``, build its operator
-    with ``build(t, S)``, and return (mu*, top |eigenvalue|) per trial."""
-    order = len(G)
+def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, build, flags=()):
+    """One batch: validate, evaluate the bound, draw trial t's multiset from
+    ``seeded_rng(seed, t)``, solve the operators ``build(t, S)`` and record
+    the tail.  ``subgroups`` is () for thm14, (H,) for thm15 and (L, N) for
+    thm18; the first one's cosets index the operator.  ``build`` may append
+    to ``flags`` while the trials run."""
+    if variant == "thm18":
+        if k < 2:
+            raise MonteCarloError(f"bi-coset trials need k >= 2, got {k}")
+        if trials < 1:
+            raise MonteCarloError("trials must be >= 1")
+    elif k < 1 or trials < 1:
+        raise MonteCarloError(f"need k >= 1 and trials >= 1, got k={k}, trials={trials}")
+    if subgroups and len(right_cosets(G, subgroups[0])) < 2:
+        raise MonteCarloError(
+            "input coset space is 1-dimensional; mu* undefined"
+            if variant == "thm18"
+            else "coset space needs at least 2 cosets for mu*"
+        )
+    table = character_table(G) if table is None else table
+    if subgroups:
+        sums = dim_sums_both(G, subgroups[0], table)
+        tb, tb_support = [
+            bound_eval(BoundInputs(D_value=sums[kind], k=k, eps=eps, variant=variant))
+            for kind in ("paper", "support")
+        ]
+        bounds = (("paper", tb.bound), ("support", tb_support.bound))
+        bound = max(tb.bound, tb_support.bound)
+        vacuous = bound >= 1.0
+    else:
+        tb = bound_eval(BoundInputs(D_value=dim_sum_D(G, table), k=k, eps=eps, variant=variant))
+        bounds, bound, vacuous = (("D", tb.bound),), tb.bound, tb.vacuous
     operators = (
-        build(t, tuple(G.elements[i] for i in _sample_indices(order, k, seed, t)))
+        build(t, tuple(G.elements[i] for i in _sample_indices(len(G), k, seed, t)))
         for t in range(trials)
     )
-    return _spectra(operators, threshold)
-
-
-def _subgroup_bounds(G, H, table, k, eps, variant):
-    """(paper bound, (paper, support) pairs, weakest bound) of thm15/thm18."""
-    table = character_table(G) if table is None else table
-    sums = dim_sums_both(G, H, table)
-    tb_paper = bound_eval(BoundInputs(D_value=sums["paper"], k=k, eps=eps, variant=variant))
-    tb_support = bound_eval(
-        BoundInputs(D_value=sums["support"], k=k, eps=eps, variant=variant)
+    mu_values, top_values = _spectra(operators, tb.threshold)
+    violating = tuple(i for i, mu in enumerate(mu_values) if mu > tb.threshold)
+    return TrialBatch(
+        variant=variant,
+        group=G.label(),
+        subgroups=tuple(H.label() for H in subgroups),
+        k=k,
+        eps=eps,
+        trials=trials,
+        seed=seed,
+        threshold=tb.threshold,
+        mu_values=tuple(mu_values),
+        empirical_tail=len(violating) / trials,
+        bounds=bounds,
+        bound=bound,
+        vacuous=vacuous,
+        violating_trials=violating,
+        flags=tuple(flags),
+        # the scaling caps the bi-Cayley Gram's top eigenvalue at 1/2
+        top_values=tuple(top_values) if variant == "thm18" else (),
     )
-    bounds = (("paper", tb_paper.bound), ("support", tb_support.bound))
-    return tb_paper, bounds, max(tb_paper.bound, tb_support.bound)
 
 
 def run_cayley_trials(
@@ -214,31 +245,8 @@ def run_cayley_trials(
     table: CharacterTable | None = None,
 ) -> TrialBatch:
     """Random Cayley multigraphs: tail of mu* past eps vs the dimension-sum bound."""
-    if k < 1 or trials < 1:
-        raise MonteCarloError(f"need k >= 1 and trials >= 1, got k={k}, trials={trials}")
-    table = character_table(G) if table is None else table
-    D = dim_sum_D(G, table)
-    tb = bound_eval(BoundInputs(D_value=D, k=k, eps=eps, variant="thm14"))
-    mu_values, _ = _trial_spectra(
-        G, k, trials, seed, lambda t, S: cayley_operator(G, S), tb.threshold
-    )
-    violating, tail = _mu_tail(mu_values, tb.threshold)
-    return TrialBatch(
-        variant="thm14",
-        group=G.label(),
-        subgroups=(),
-        k=k,
-        eps=eps,
-        trials=trials,
-        seed=seed,
-        threshold=tb.threshold,
-        mu_values=tuple(mu_values),
-        empirical_tail=tail,
-        bounds=(("D", tb.bound),),
-        bound=tb.bound,
-        vacuous=tb.vacuous,
-        violating_trials=violating,
-        flags=(),
+    return _run_trials(
+        "thm14", G, (), k, eps, trials, seed, table, lambda t, S: cayley_operator(G, S)
     )
 
 
@@ -252,11 +260,6 @@ def run_coset_trials(
     table: CharacterTable | None = None,
 ) -> TrialBatch:
     """Random coset graphs on [G:H], normalized by their (asserted) regular degree."""
-    if k < 1 or trials < 1:
-        raise MonteCarloError(f"need k >= 1 and trials >= 1, got k={k}, trials={trials}")
-    if len(right_cosets(G, H)) < 2:
-        raise MonteCarloError("coset space needs at least 2 cosets for mu*")
-    tb, bounds, bound = _subgroup_bounds(G, H, table, k, eps, "thm15")
     flags = []
 
     def build(t, S):
@@ -265,25 +268,7 @@ def run_coset_trials(
             flags.append(f"trial {t}: non-regular coset graph, normalized by max degree")
         return mat
 
-    mu_values, _ = _trial_spectra(G, k, trials, seed, build, tb.threshold)
-    violating, tail = _mu_tail(mu_values, tb.threshold)
-    return TrialBatch(
-        variant="thm15",
-        group=G.label(),
-        subgroups=(H.label(),),
-        k=k,
-        eps=eps,
-        trials=trials,
-        seed=seed,
-        threshold=tb.threshold,
-        mu_values=tuple(mu_values),
-        empirical_tail=tail,
-        bounds=bounds,
-        bound=bound,
-        vacuous=bound >= 1.0,
-        violating_trials=violating,
-        flags=tuple(flags),
-    )
+    return _run_trials("thm15", G, (H,), k, eps, trials, seed, table, build, flags)
 
 
 def run_bicoset_trials(
@@ -301,38 +286,12 @@ def run_bicoset_trials(
     The event threshold is eps + (1-eps)/(2k); the realized top eigenvalue is
     recorded per trial since the scaling caps it at 1/2 in the bi-Cayley case.
     """
-    if k < 2:
-        raise MonteCarloError(f"bi-coset trials need k >= 2, got {k}")
-    if trials < 1:
-        raise MonteCarloError("trials must be >= 1")
-    if len(right_cosets(G, L)) < 2:
-        raise MonteCarloError("input coset space is 1-dimensional; mu* undefined")
-    tb, bounds, bound = _subgroup_bounds(G, L, table, k, eps, "thm18")
 
     def build(t, S):
         A = bicoset_graph(G, L, N, S).inc.astype(float)
         return A @ A.T / (2.0 * k * k)
 
-    mu_values, top_values = _trial_spectra(G, k, trials, seed, build, tb.threshold)
-    violating, tail = _mu_tail(mu_values, tb.threshold)
-    return TrialBatch(
-        variant="thm18",
-        group=G.label(),
-        subgroups=(L.label(), N.label()),
-        k=k,
-        eps=eps,
-        trials=trials,
-        seed=seed,
-        threshold=tb.threshold,
-        mu_values=tuple(mu_values),
-        empirical_tail=tail,
-        bounds=bounds,
-        bound=bound,
-        vacuous=bound >= 1.0,
-        violating_trials=violating,
-        flags=(),
-        top_values=tuple(top_values),
-    )
+    return _run_trials("thm18", G, (L, N), k, eps, trials, seed, table, build)
 
 
 # -- exact small-case enumeration ---------------------------------------------

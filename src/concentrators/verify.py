@@ -1,29 +1,37 @@
 """Combinatorial oracles: concentration, magnification, and expansion checks.
 
-Exhaustive mode enumerates every eligible input subset (feasible up to 24
-inputs) and reports the exact worst neighbor ratio with a deterministic,
-lexicographically-least witness.  Sampled mode draws random subsets per size
-and can only refute a claimed constant, never certify it.
+Each check minimizes a function of |X| and |N(X)| alone over the eligible
+input sets X, so it is a pair of small tables indexed by [|X|, |N(X)|]:
+``value`` (the bsc ratio |N(X)|/|X|, the magnifier ratio |N(X) - X|/|X|, or
+the largest expander constant that passes) and ``fails`` (the bsc or expander
+inequality does not hold; the magnifier has none).  Every scan reports the
+least (value, witness), the witness being the lexicographically least index
+tuple among float-equal minima.
 
-Exhaustive scans run on one kernel, ``_subset_chunks``.  Input subsets are
-bitmasks, visited in increasing order in the chunks [1, 2^18 + 1),
-[2^18 + 1, 2^19 + 1), ... (so no array grows much past 2^18 entries).  The
-input bits are split into a low half of at most 12 bits and a high half; each
-half gets a table of the neighbor union of every subset of its bits, built by
-doubling (at most 4096 ``uint64`` entries each), so the neighbor union of mask
-``m`` is ``lo[m & lo_mask] | hi[m >> lo_bits]``, one broadcast OR per chunk
-whatever the number of inputs.  Neighbor sets must fit 64 output bits.  The
-exhaustive expander check always runs on the kernel (at most 24 inputs and
-outputs).  bsc and magnifier scans below 17 inputs or beyond 64 outputs stay
-on a pure-Python loop.  The 17-input gate stays because ``verify-bsc`` stops
-right after the first refuting subset on that loop but only at a chunk end on
-the kernel, so moving small bsc scans would change their ``subsets_checked``.
-Sampled mode is a Python loop over drawn index tuples.
+Exhaustive mode (up to 24 inputs) visits every eligible subset on one kernel,
+``_subset_chunks``.  Subsets are bitmasks, visited in increasing order in the
+chunks [1, 2^18 + 1), [2^18 + 1, 2^19 + 1), ... (so no array grows much past
+2^18 entries).  Neighbor sets are split into 64-bit words.  For each word the
+input bits split into a low half of at most 12 bits and the rest; each half
+gets a table of the neighbor union of every subset of its bits, built by
+doubling (at most 4096 ``uint64`` entries each), so the union of mask ``m`` is
+``lo[m & lo_mask] | hi[m >> lo_bits]``, one broadcast OR per chunk and word,
+and |N(X)| is the sum of the words' popcounts.
+
+A bsc scan stops at its first refutation, by a rule that depends on the
+number of inputs alone.  From ``_CHUNK_EXIT_MIN_INPUTS`` inputs it stops at
+the end of the refuting chunk.  Below that the whole scan is one chunk, and
+it stops at the first failing subset in (size, lexicographic) order, as a
+loop over ``itertools.combinations`` would: ``subsets_checked`` and the
+reported minimum cover the subsets up to and including that one.
+
+Sampled mode draws ``budget`` random subsets per size, reduces them with the
+same tables, and can only refute a claimed constant, never certify it.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +40,9 @@ from .graphs import BipartiteGraph, Graph, extended_double_cover
 from .permgroup import seeded_rng
 
 EXHAUSTIVE_CAP = 24
-_NUMPY_MIN_BITS = 17  # below this bsc early exits stop per subset, not per chunk
+# From this many inputs a refuted bsc scan stops at the end of the refuting
+# chunk; below it, right after the first refuting subset.
+_CHUNK_EXIT_MIN_INPUTS = 17
 
 
 class VerifyError(ValueError):
@@ -61,90 +71,54 @@ def _mask_to_set(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _neighbor_masks(mat: np.ndarray) -> list[int]:
-    masks = []
-    for row in np.asarray(mat):
-        m = 0
-        for j in np.nonzero(row)[0]:
-            m |= 1 << int(j)
-        masks.append(m)
-    return masks
-
-
-def _ratio_fold(best, size: int, gamma: int, mask: int):
-    """Fold one candidate into (num, den, mask) keeping exact lex-min ties."""
-    num, den, bmask = best
-    # compare gamma/size against num/den exactly
-    lhs = gamma * den
-    rhs = num * size
-    if lhs < rhs or (lhs == rhs and _mask_to_set(mask) < _mask_to_set(bmask)):
-        return (gamma, size, mask)
-    return best
-
-
-def _scan_python(masks, n_in, max_size, metric, target, early_exit):
-    """Pure-python exhaustive scan; metric(size, union_mask, subset_mask) -> (num, den)."""
-    best = None
-    checked = 0
-    refuted = None
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(range(n_in), size):
-            union = 0
-            mask = 0
-            for v in combo:
-                union |= masks[v]
-                mask |= 1 << v
-            num, den = metric(size, union, mask)
-            checked += 1
-            if best is None:
-                best = (num, den, mask)
-            else:
-                best = _ratio_fold(best, den, num, mask)
-            if early_exit and target is not None and num < target * den - 1e-12 * den:
-                refuted = (num, den, mask)
-                return best, checked, refuted
-    return best, checked, refuted
+def _neighbor_words(mat) -> np.ndarray:
+    """Each row's support as little-endian 64-bit words, shape (rows, words)."""
+    bits = np.packbits(np.asarray(mat) > 0, axis=1, bitorder="little")
+    n_bytes = max(8, -(-bits.shape[1] // 8) * 8)  # whole words, at least one
+    padded = np.zeros((bits.shape[0], n_bytes), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return padded.view("<u8")
 
 
 def _union_table(masks) -> np.ndarray:
     """Neighbor union of every subset of ``masks``, indexed by subset bitmask."""
     table = np.zeros(1 << len(masks), dtype=np.uint64)
     for v, mask in enumerate(masks):
-        table[1 << v : 2 << v] = table[: 1 << v] | np.uint64(mask)
+        table[1 << v : 2 << v] = table[: 1 << v] | mask
     return table
 
 
-def _subset_chunks(masks, n_in, max_size):
-    """Yield ``(m, sizes, union)`` for the nonempty input subsets of at most
-    ``max_size`` elements, as bitmasks in increasing order, one chunk
-    [1 + k*2^18, 1 + (k+1)*2^18) of [1, 2^n_in) at a time; chunks without an
-    eligible mask are skipped.  ``m`` and ``union`` are ``uint64``, ``sizes``
-    is ``uint8``.  Needs n_in <= 24 and neighbor masks below 2^64."""
+def _subset_chunks(words, max_size, exclude_self):
+    """Yield ``(m, sizes, nbrs)`` for the nonempty input subsets, as bitmasks
+    in increasing order, one chunk [1 + k*2^18, 1 + (k+1)*2^18) of
+    [1, 2^n_in) at a time; chunks without a subset of at most ``max_size``
+    elements are skipped, and the others are not filtered.  ``nbrs`` is
+    |N(X)|, or |N(X) - X| with ``exclude_self``.  ``words`` is
+    ``_neighbor_words`` of n_in <= 24 inputs.
+    """
+    n_in = len(words)
     lo_bits = min(n_in, 12)
-    lo = _union_table(masks[:lo_bits])
-    hi = _union_table(masks[lo_bits:n_in])
+    tables = [(_union_table(col[:lo_bits]), _union_table(col[lo_bits:])) for col in words.T]
     total = 1 << n_in
     chunk = 1 << 18
     # lo[m & lo_mask] | hi[m >> lo_bits] over a chunk is one broadcast OR of
     # the high rows the chunk touches with all of ``lo``, sliced to the chunk.
-    # Each array is filtered before the next one is built, so at most two
-    # chunk-sized uint64 arrays are alive at once.
     for start in range(1, total, chunk):
         stop = min(start + chunk, total)
         m = np.arange(start, stop, dtype=np.uint64)
         sizes = np.bitwise_count(m)
-        eligible = sizes <= max_size
-        if not eligible.any():
+        if sizes.min() > max_size:
             continue
         first = start >> lo_bits
         last = ((stop - 1) >> lo_bits) + 1
         offset = first << lo_bits
-        union = (hi[first:last, None] | lo).ravel()[start - offset : stop - offset]
-        if not eligible.all():
-            m = m[eligible]
-            sizes = sizes[eligible]
-            union = union[eligible]
-        yield m, sizes, union
+        for w, (lo, hi) in enumerate(tables):
+            union = (hi[first:last, None] | lo).ravel()[start - offset : stop - offset]
+            if exclude_self and w == 0:  # input bits all lie in the first word
+                union &= ~m
+            count = np.bitwise_count(union)
+            nbrs = count if w == 0 else nbrs + count.astype(np.intp)
+        yield m, sizes, nbrs
 
 
 def _lex_least(cands: np.ndarray) -> int:
@@ -159,88 +133,111 @@ def _lex_least(cands: np.ndarray) -> int:
     return int(prefix)
 
 
-def _scan_numpy(masks, n_in, max_size, metric_kind, target, early_exit):
-    """Vectorized scan over all bitmasks; needs n_out <= 64 and n_in <= 24.
+def _through_first_failure(m, sizes, bad) -> np.ndarray:
+    """Which of the masks ``m`` a (size, lexicographic) scan visits up to and
+    including the first ``bad`` one.  Of two sets of one size, the one that
+    holds the least element of their symmetric difference comes first."""
+    size = sizes[bad].min()
+    first = np.uint64(_lex_least(m[bad & (sizes == size)]))
+    diff = m ^ first
+    low = diff & (~diff + np.uint64(1))
+    return (sizes < size) | ((sizes == size) & (((low & m) != 0) | (diff == 0)))
 
-    Neighbor unions come from ``_subset_chunks``'s split union tables.  After
-    each chunk every candidate at the chunk minimum is folded exactly, and a
-    set target stops the scan at the end of the first chunk that refutes it.
-    """
+
+def _exhaustive(words, max_size, tables, exclude_self, stop_at_failure):
+    """The least (value, witness) over every eligible subset, on the kernel."""
+    n_in = len(words)
+    value, fails = tables(np.arange(1, max_size + 1)[:, None])
+    width = value.shape[1]
+    # Rows for every size 0..n_in, so that chunks need no filtering: larger
+    # sets than max_size never attain a finite minimum and never fail.
+    value = _size_rows(value, n_in, np.inf)
+    fails = None if fails is None else _size_rows(fails, n_in, False)
     best = None
     checked = 0
-    refuted = None
-    for m, sizes, union in _subset_chunks(masks, n_in, max_size):
-        if metric_kind == "exclude_self":
-            union &= ~m
-        gammas = np.bitwise_count(union)
-        checked += int(m.size)
-        ratios = gammas / sizes  # float64, exact on these small integers
-        # fold every candidate attaining the chunk minimum exactly; equal
-        # rationals in this range compare equal as floats
-        tie = ratios <= ratios.min()
-        for idx in np.nonzero(tie)[0]:
-            cand = (int(gammas[idx]), int(sizes[idx]), int(m[idx]))
-            if best is None:
-                best = cand
-            else:
-                best = _ratio_fold(best, cand[1], cand[0], cand[2])
-        if early_exit and target is not None and best is not None:
-            num, den, mask = best
-            if num < target * den - 1e-12 * den:
-                refuted = best
-                return best, checked, refuted
-    return best, checked, refuted
+    failed = False
+    for m, sizes, nbrs in _subset_chunks(words, max_size, exclude_self):
+        key = sizes.astype(np.intp) * width + nbrs
+        eligible = np.count_nonzero(sizes <= max_size)
+        if fails is not None and not failed:
+            bad = fails[key]
+            failed = bool(bad.any())
+            if failed and stop_at_failure and n_in < _CHUNK_EXIT_MIN_INPUTS:
+                visited = _through_first_failure(m, sizes, bad)
+                m, key = m[visited], key[visited]
+                eligible = m.size
+        checked += int(eligible)
+        v = value[key]
+        low = v.min()
+        if best is None or low <= best[0]:
+            cand = (float(low), _mask_to_set(_lex_least(m[v == low])))
+            best = cand if best is None else min(best, cand)
+        if failed and stop_at_failure:
+            break
+    return (*best, checked, failed)
 
 
-def _exhaustive_min_ratio(mat, n_in, max_size, exclude_self, target=None, early_exit=False):
-    """Minimum of |neighbors(X)|/|X| over nonempty X with |X| <= max_size."""
-    if n_in > EXHAUSTIVE_CAP:
-        raise VerifyError(f"exhaustive mode capped at {EXHAUSTIVE_CAP} inputs, got {n_in}")
-    masks = _neighbor_masks(mat)
-    n_out = np.asarray(mat).shape[1]
-    max_size = min(max_size, n_in)
-    if max_size < 1:
-        raise VerifyError("no eligible subset sizes")
-    if n_out <= 64 and n_in >= _NUMPY_MIN_BITS:
-        kind = "exclude_self" if exclude_self else "plain"
-        best, checked, refuted = _scan_numpy(masks, n_in, max_size, kind, target, early_exit)
-    else:
-        if exclude_self:
-            metric = lambda size, union, mask: ((union & ~mask).bit_count(), size)
-        else:
-            metric = lambda size, union, mask: (union.bit_count(), size)
-        best, checked, refuted = _scan_python(masks, n_in, max_size, metric, target, early_exit)
-    num, den, mask = best
-    return num / den, _mask_to_set(mask), checked
+def _size_rows(table, n_in, fill) -> np.ndarray:
+    """The rows of ``table`` (sizes 1, 2, ...) placed among rows 0..n_in of
+    ``fill``, flattened for lookup by size * width + |N|."""
+    rows = np.full((n_in + 1, table.shape[1]), fill, dtype=table.dtype)
+    rows[1 : len(table) + 1] = table
+    return rows.ravel()
 
 
-def _check_sampled(budget, seed):
-    if seed is None:
-        raise VerifyError("sampled mode requires an explicit seed")
-    if budget < 1:
-        raise VerifyError(f"sampled mode needs a budget of at least 1, got {budget}")
-
-
-def _sampled_min_ratio(mat, n_in, max_size, exclude_self, budget, seed):
-    _check_sampled(budget, seed)
+def _sampled(words, max_size, tables, exclude_self, budget, seed):
+    """The least (value, witness) over ``budget`` sorted
+    ``rng.choice(n_in, size, replace=False)`` draws per size, one at a time."""
     rng = seeded_rng(seed)
-    masks = _neighbor_masks(mat)
+    masks = [int.from_bytes(row.tobytes(), "little") for row in words]
     best = None
     checked = 0
-    for size in range(1, min(max_size, n_in) + 1):
+    failed = False
+    for size in range(1, max_size + 1):
+        value, fails = tables(np.array([[size]]))
+        value = value[0].tolist()
+        fails = None if fails is None else fails[0].tolist()
         for _ in range(budget):
-            combo = sorted(int(x) for x in rng.choice(n_in, size=size, replace=False))
+            combo = tuple(sorted(int(x) for x in rng.choice(len(masks), size=size, replace=False)))
             union = 0
-            mask = 0
             for v in combo:
                 union |= masks[v]
-                mask |= 1 << v
-            gamma = (union & ~mask).bit_count() if exclude_self else union.bit_count()
+            if exclude_self:
+                union &= ~sum(1 << v for v in combo)
+            nbrs = union.bit_count()
             checked += 1
-            cand = (gamma, size, mask)
-            best = cand if best is None else _ratio_fold(best, size, gamma, mask)
-    num, den, mask = best
-    return num / den, _mask_to_set(mask), checked
+            failed = failed or (fails is not None and fails[nbrs])
+            cand = (value[nbrs], combo)
+            if best is None or cand < best:
+                best = cand
+    return (*best, checked, failed)
+
+
+def _scan(mat, max_size, tables, mode, budget, seed, exclude_self=False, stop_at_failure=False):
+    """(least value, its witness, subsets checked, whether a subset failed)
+    over the input sets of at most ``max_size`` rows of ``mat``.
+
+    ``tables(sizes, nbrs)`` gives ``value`` and ``fails`` (or None) on the
+    broadcast grid of a size column and the neighbor counts 0..n_out.
+    ``stop_at_failure`` ends an exhaustive scan at its first failing subset.
+    """
+    n_in, n_out = np.shape(mat)
+    if mode == "exhaustive":
+        if n_in > EXHAUSTIVE_CAP:
+            raise VerifyError(f"exhaustive mode capped at {EXHAUSTIVE_CAP} inputs, got {n_in}")
+    elif mode == "sampled":
+        if seed is None:
+            raise VerifyError("sampled mode requires an explicit seed")
+        if budget < 1:
+            raise VerifyError(f"sampled mode needs a budget of at least 1, got {budget}")
+    else:
+        raise VerifyError(f"unknown mode {mode!r}")
+    words = _neighbor_words(mat)
+    tables = functools.partial(tables, nbrs=np.arange(n_out + 1))
+    max_size = min(max_size, n_in)
+    if mode == "exhaustive":
+        return _exhaustive(words, max_size, tables, exclude_self, stop_at_failure)
+    return _sampled(words, max_size, tables, exclude_self, budget, seed)
 
 
 def bsc_check(
@@ -258,20 +255,18 @@ def bsc_check(
     """
     if not 0 < alpha <= 1:
         raise VerifyError(f"alpha={alpha} outside (0, 1]")
-    support = (X.inc > 0).astype(np.int64)
     max_size = int(alpha * X.n_in + 1e-9)
     if max_size < 1:
         raise VerifyError(f"alpha={alpha} admits no nonempty subsets of {X.n_in} inputs")
-    if mode == "exhaustive":
-        ratio, worst, checked = _exhaustive_min_ratio(
-            support, X.n_in, max_size, exclude_self=False, target=c, early_exit=True
-        )
-    elif mode == "sampled":
-        ratio, worst, checked = _sampled_min_ratio(
-            support, X.n_in, max_size, exclude_self=False, budget=budget, seed=seed
-        )
-    else:
-        raise VerifyError(f"unknown mode {mode!r}")
+    ratio, worst, checked, _ = _scan(
+        X.inc,
+        max_size,
+        lambda size, nbrs: (nbrs / size, nbrs < c * size - 1e-12 * size),
+        mode,
+        budget,
+        seed,
+        stop_at_failure=True,
+    )
     return ConcentrationReport(
         mode=mode,
         worst_ratio=ratio,
@@ -291,21 +286,13 @@ def magnifier_constant(
 
     The reported worst_ratio *is* that constant (exact in exhaustive mode).
     """
-    support = (g.adj > 0).astype(np.int64)
-    np.fill_diagonal(support, 0)
     max_size = g.n // 2
     if max_size < 1:
         raise VerifyError(f"graph on {g.n} vertices admits no eligible subsets")
-    if mode == "exhaustive":
-        ratio, worst, checked = _exhaustive_min_ratio(
-            support, g.n, max_size, exclude_self=True
-        )
-    elif mode == "sampled":
-        ratio, worst, checked = _sampled_min_ratio(
-            support, g.n, max_size, exclude_self=True, budget=budget, seed=seed
-        )
-    else:
-        raise VerifyError(f"unknown mode {mode!r}")
+    ratio, worst, checked, _ = _scan(
+        g.adj, max_size, lambda size, nbrs: (nbrs / size, None), mode, budget, seed,
+        exclude_self=True,
+    )
     return ConcentrationReport(
         mode=mode,
         worst_ratio=ratio,
@@ -333,100 +320,36 @@ def expander_check(
     if X.n_in != X.n_out:
         raise VerifyError(f"expander check needs equal sides, got {X.n_in}x{X.n_out}")
     n = X.n_in
-    support = (X.inc > 0).astype(np.int64)
-    masks = _neighbor_masks(support)
-    max_size = n // 2 if restrict_half else n
     if n < 2:
         raise VerifyError(f"no input set A with 0 < |A| < n among {n} inputs")
-
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_CAP:
-            raise VerifyError(f"exhaustive mode capped at {EXHAUSTIVE_CAP} inputs")
-        best_c, best_set, checked, verdict = _expander_exhaustive(masks, n, max_size, c)
-    elif mode == "sampled":
-        _check_sampled(budget, seed)
-        rng = seeded_rng(seed)
-        combos = (
-            tuple(sorted(int(x) for x in rng.choice(n, size=size, replace=False)))
-            for size in range(1, max_size + 1)
-            for _ in range(budget)
-        )
-        best_c, best_set, checked, verdict = _expander_sampled(masks, n, c, combos)
-    else:
-        raise VerifyError(f"unknown mode {mode!r}")
+    best_c, best_set, checked, failed = _scan(
+        X.inc,
+        n // 2 if restrict_half else n,
+        lambda size, nbrs: (_largest_c(n, size, nbrs), ~_expansion_holds(n, c, size, nbrs)),
+        mode,
+        budget,
+        seed,
+    )
     return ConcentrationReport(
         mode=mode,
         worst_ratio=best_c,
         worst_set=best_set,
         subsets_checked=checked,
-        verdict=verdict,
+        verdict=not failed,
     )
 
 
-def _expander_exhaustive(masks, n, max_size, c):
-    """Every nonempty A with |A| <= max_size, on the subset kernel.
-
-    Returns (least cmax, its lexicographically least witness among float-equal
-    minima, subsets checked, verdict).  Both the inequality and cmax depend on
-    (|A|, |N(A)|) alone, so they are evaluated once per pair, with the scalar
-    expressions of the sampled scan, and looked up per subset."""
-    pairs = [(size, nbrs) for size in range(max_size + 1) for nbrs in range(n + 1)]
-    ok_tab = np.array([_expansion_holds(n, c, size, nbrs) for size, nbrs in pairs])
-    cmax_tab = np.array(
-        [_largest_c(n, size, nbrs) if 0 < size < n else np.inf for size, nbrs in pairs]
-    )
-    best_c = None
-    best_set: tuple[int, ...] = ()
-    verdict = True
-    checked = 0
-    for m, sizes, union in _subset_chunks(masks, n, max_size):
-        key = sizes.astype(np.intp) * (n + 1) + np.bitwise_count(union)
-        checked += int(m.size)
-        if verdict and not ok_tab[key].all():
-            verdict = False
-        cmax = cmax_tab[key]
-        low = cmax.min()
-        if low < np.inf and (best_c is None or low <= best_c):
-            cand = _mask_to_set(_lex_least(m[cmax == low]))
-            if best_c is None or low < best_c or cand < best_set:
-                best_c, best_set = float(low), cand
-    return best_c, best_set, checked, verdict
-
-
-def _expansion_holds(n, c, size, nbrs) -> bool:
+def _expansion_holds(n, c, size, nbrs):
     """|N(A)| >= (1 + c(1 - |A|/n))|A|, with a 1e-9 slack, and Hall's condition
-    when |A| = n."""
-    if not nbrs * n >= (n + c * (n - size)) * size - 1e-9:
-        return False
-    return size < n or nbrs >= size
+    when |A| = n; elementwise over arrays."""
+    return (nbrs * n >= (n + c * (n - size)) * size - 1e-9) & ((size < n) | (nbrs >= size))
 
 
-def _largest_c(n, size, nbrs) -> float:
-    """The largest c for which a set of this size and neighbor count passes."""
-    return n * (nbrs - size) / (size * (n - size))
-
-
-def _expander_sampled(masks, n, c, combos):
-    """The exhaustive rule over the given index tuples, one at a time."""
-    best_c = None
-    best_set: tuple[int, ...] = ()
-    verdict = True
-    checked = 0
-    for combo in combos:
-        union = 0
-        for v in combo:
-            union |= masks[v]
-        size = len(combo)
-        nbrs = union.bit_count()
-        checked += 1
-        if not _expansion_holds(n, c, size, nbrs):
-            verdict = False
-        if size < n:
-            cmax = _largest_c(n, size, nbrs)
-            key = (cmax, combo)
-            if best_c is None or key < (best_c, best_set):
-                best_c, best_set = cmax, tuple(combo)
-    return best_c, best_set, checked, verdict
+def _largest_c(n, size, nbrs):
+    """The largest c for which a set of this size and neighbor count passes;
+    inf when |A| = n, which passes for every c or none."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(size < n, n * (nbrs - size) / (size * (n - size)), np.inf)
 
 
 @dataclass(frozen=True)

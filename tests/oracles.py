@@ -1,15 +1,15 @@
 """Per-element pure-Python reference implementations.
 
 These are the loops that the array-backed group core and the subset-scan
-kernel in ``concentrators`` replaced.  They work on image tuples and Python
-ints only and share nothing with the arrays, so the differential tests in
-``test_group_core.py`` and ``test_verify.py`` compare two independent
-computations.
+kernel and tables in ``concentrators`` replaced.  They work on image tuples
+and Python ints only and share nothing with the arrays, so the differential
+tests in ``test_group_core.py`` and ``test_verify.py`` compare two
+independent computations.
 """
 
 import itertools
 
-from concentrators.permgroup import GroupError
+from concentrators.permgroup import GroupError, seeded_rng
 
 
 def _compose(p, q):
@@ -161,6 +161,85 @@ def class_matrices(elements, classes):
     return mats
 
 
+def _masks(inc):
+    """Each row's support as a Python int bitmask."""
+    return [sum(1 << j for j, x in enumerate(row) if x) for row in inc]
+
+
+def _mask_to_set(mask):
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def _ratio_fold(best, size, gamma, mask):
+    """Fold one candidate into (num, den, mask) keeping exact lex-min ties."""
+    num, den, bmask = best
+    lhs = gamma * den
+    rhs = num * size
+    if lhs < rhs or (lhs == rhs and _mask_to_set(mask) < _mask_to_set(bmask)):
+        return (gamma, size, mask)
+    return best
+
+
+def _gamma(masks, combo, exclude_self):
+    union = 0
+    mask = 0
+    for v in combo:
+        union |= masks[v]
+        mask |= 1 << v
+    return ((union & ~mask) if exclude_self else union).bit_count(), mask
+
+
+def subset_scan(inc, max_size, exclude_self=False, target=None):
+    """Exhaustive |N(X)|/|X| scan, or |N(X) - X|/|X| with ``exclude_self``,
+    over 0 < |X| <= max_size in (size, lexicographic) order.  A ``target``
+    stops the scan right after the first subset with
+    |N| < target*|X| - 1e-12*|X|.
+
+    Returns (worst ratio, its witness, subsets checked, refuted) with exact
+    rational comparisons and the lexicographically least witness among ties,
+    as the pure-Python loop of ``bsc_check`` and ``magnifier_constant`` did."""
+    masks = _masks(inc)
+    best = None
+    checked = 0
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(range(len(masks)), size):
+            gamma, mask = _gamma(masks, combo, exclude_self)
+            checked += 1
+            best = (gamma, size, mask) if best is None else _ratio_fold(best, size, gamma, mask)
+            if target is not None and gamma < target * size - 1e-12 * size:
+                return best[0] / best[1], _mask_to_set(best[2]), checked, True
+    return best[0] / best[1], _mask_to_set(best[2]), checked, False
+
+
+def _draws(n, max_size, budget, seed):
+    """The sampled modes' draws: ``budget`` sorted index tuples per size."""
+    rng = seeded_rng(seed)
+    for size in range(1, min(max_size, n) + 1):
+        for _ in range(budget):
+            yield tuple(sorted(int(x) for x in rng.choice(n, size=size, replace=False)))
+
+
+def sampled_scan(inc, max_size, exclude_self, budget, seed):
+    """The sampled bsc/magnifier loop: (worst ratio, witness, subsets checked)
+    over ``_draws``, folded as ``subset_scan`` folds."""
+    masks = _masks(inc)
+    best = None
+    checked = 0
+    for combo in _draws(len(masks), max_size, budget, seed):
+        gamma, mask = _gamma(masks, combo, exclude_self)
+        checked += 1
+        size = len(combo)
+        best = (gamma, size, mask) if best is None else _ratio_fold(best, size, gamma, mask)
+    return best[0] / best[1], _mask_to_set(best[2]), checked
+
+
+def expander_sampled(inc, c, restrict_half, budget, seed):
+    """The sampled expander loop over ``_draws``: (least cmax, witness,
+    subsets checked, verdict), ties going to the least index tuple."""
+    n = len(inc)
+    return _expander_fold(inc, c, _draws(n, n // 2 if restrict_half else n, budget, seed))
+
+
 def expander_scan(inc, c, restrict_half):
     """Exhaustive relative-expansion check over index tuples.
 
@@ -169,26 +248,36 @@ def expander_scan(inc, c, restrict_half):
     lexicographically least tuple among float-equal minima, as the
     ``itertools`` scan of ``expander_check`` did."""
     n = len(inc)
-    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in inc]
     max_size = n // 2 if restrict_half else n
+    combos = (
+        combo
+        for size in range(1, max_size + 1)
+        for combo in itertools.combinations(range(n), size)
+    )
+    return _expander_fold(inc, c, combos)
+
+
+def _expander_fold(inc, c, combos):
+    n = len(inc)
+    masks = _masks(inc)
     best_c = None
     best_set = ()
     verdict = True
     checked = 0
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(range(n), size):
-            union = 0
-            for v in combo:
-                union |= masks[v]
-            nbrs = union.bit_count()
-            checked += 1
-            if not nbrs * n >= (n + c * (n - size)) * size - 1e-9:
-                verdict = False
-            if size < n:
-                cmax = n * (nbrs - size) / (size * (n - size))
-                key = (cmax, combo)
-                if best_c is None or key < (best_c, best_set):
-                    best_c, best_set = cmax, tuple(combo)
-            elif nbrs < size:
-                verdict = False
+    for combo in combos:
+        size = len(combo)
+        union = 0
+        for v in combo:
+            union |= masks[v]
+        nbrs = union.bit_count()
+        checked += 1
+        if not nbrs * n >= (n + c * (n - size)) * size - 1e-9:
+            verdict = False
+        if size < n:
+            cmax = n * (nbrs - size) / (size * (n - size))
+            key = (cmax, combo)
+            if best_c is None or key < (best_c, best_set):
+                best_c, best_set = cmax, tuple(combo)
+        elif nbrs < size:
+            verdict = False
     return best_c, best_set, checked, verdict

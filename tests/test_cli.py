@@ -404,3 +404,25 @@ def test_graph_multiplicity_overflow_exits_2(capsys, tmp_path, text):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err and "int64" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("degree 100000000000\n", ["chartable", "--group"]),
+        ("degree 100000000000\n", ["montecarlo", "--k", "2", "--eps", "0.5", "--trials", "2",
+                                   "--seed", "1", "--variant", "thm14", "--group"]),
+        ("graph 10000000\n", ["spectrum", "--graph"]),
+    ],
+    ids=["chartable", "montecarlo", "spectrum"],
+)
+def test_size_header_too_large_to_allocate_exits_2(capsys, tmp_path, text, argv):
+    # Each of these sizes needs hundreds of GiB or more in one array, so the
+    # allocation fails at once instead of filling memory.
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "allocate" in captured.err

@@ -10,8 +10,6 @@ from concentrators.designs import design_bipartite
 from concentrators.spectral import sym_eigenvalues, tanner_bound
 from concentrators.verify import (
     VerifyError,
-    _scan_numpy,
-    _scan_python,
     bsc_check,
     double_cover_harness,
     expander_check,
@@ -175,18 +173,11 @@ def test_python_and_numpy_engines_agree():
     rng = np.random.default_rng(2)
     inc = (rng.random((17, 10)) < 0.3).astype(np.int64)
     inc[:, 0] = 1
-    masks = []
-    for row in inc:
-        m = 0
-        for j in np.nonzero(row)[0]:
-            m |= 1 << int(j)
-        masks.append(m)
-    metric = lambda size, union, mask: (union.bit_count(), size)
-    best_py, checked_py, _ = _scan_python(masks, 17, 8, metric, None, False)
-    best_np, checked_np, _ = _scan_numpy(masks, 17, 8, "plain", None, False)
-    assert checked_py == checked_np
-    assert best_py[0] * best_np[1] == best_np[0] * best_py[1]
-    assert best_py[2] == best_np[2]
+    ratio, worst, checked, _ = oracles.subset_scan(inc, 8)
+    rep = bsc_check(C.BipartiteGraph(inc), alpha=8 / 17, c=0.0)
+    assert checked == rep.subsets_checked
+    assert ratio == rep.worst_ratio
+    assert worst == rep.worst_set
 
 
 def test_tanner_property_over_bibd_corpus(mathieu_chain):
@@ -212,33 +203,62 @@ def test_tanner_property_over_bibd_corpus(mathieu_chain):
             assert rep.verdict, (n, m, alpha, c, rep.worst_ratio)
 
 
-def _plain(size, union, mask):
-    return union.bit_count(), size
+def _bipartite(masks, n_out=64):
+    """The bipartite graph whose input v reaches the outputs set in masks[v]."""
+    return C.BipartiteGraph([[(mask >> j) & 1 for j in range(n_out)] for mask in masks])
 
 
-def _exclude_self(size, union, mask):
-    return (union & ~mask).bit_count(), size
+def _alpha(max_size, n_in):
+    """An alpha for which bsc_check scans subsets of at most max_size inputs
+    (every subset when max_size >= n_in)."""
+    max_size = min(max_size, n_in)
+    alpha = max_size / n_in
+    assert int(alpha * n_in + 1e-9) == max_size
+    return alpha
 
 
 @st.composite
 def sparse_masks(draw, bits):
     """Neighbor bitmasks of ``bits`` inputs with at most 3 outputs each, so
-    ratios tie often."""
+    ratios tie often; returns (masks, n_out)."""
     n_out = draw(st.integers(1, 64))
     rows = draw(st.lists(st.frozensets(st.integers(0, n_out - 1), max_size=3),
                          min_size=bits, max_size=bits))
-    return [sum(1 << j for j in row) for row in rows]
+    return [sum(1 << j for j in row) for row in rows], n_out
+
+
+@st.composite
+def sparse_graphs(draw, n):
+    """Adjacency of a graph on ``n`` vertices, each joined to at most 3 others
+    before symmetrizing, so ratios tie often."""
+    rows = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=3),
+                         min_size=n, max_size=n))
+    adj = np.zeros((n, n), dtype=np.int64)
+    for v, row in enumerate(rows):
+        for j in row:
+            if j != v:
+                adj[v, j] = adj[j, v] = 1
+    return adj
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), bits=st.integers(17, 20), max_size=st.integers(1, 4),
        kind=st.sampled_from(["plain", "exclude_self"]))
 def test_kernel_matches_python_scan(data, bits, max_size, kind):
-    masks = data.draw(sparse_masks(bits))
-    metric = _plain if kind == "plain" else _exclude_self
-    fast = _scan_numpy(masks, bits, max_size, kind, None, False)
-    assert fast == _scan_python(masks, bits, max_size, metric, None, False)
-    assert fast[2] is None
+    # plain: bsc_check with c = 0, which nothing refutes.  exclude_self: the
+    # magnifier, which scans every |X| <= n/2, on at most 19 vertices (two
+    # chunks) so that the reference loop stays short.
+    if kind == "plain":
+        X = _bipartite(*data.draw(sparse_masks(bits)))
+        inc = X.inc
+        rep = bsc_check(X, alpha=_alpha(max_size, bits), c=0.0)
+    else:
+        inc = data.draw(sparse_graphs(min(bits, 19)))
+        max_size = len(inc) // 2
+        rep = magnifier_constant(C.Graph(inc))
+    want = oracles.subset_scan(inc, max_size, exclude_self=kind == "exclude_self")
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want[:3]
+    assert rep.verdict or kind == "exclude_self"
 
 
 def _own_outputs(extra, inputs):
@@ -255,10 +275,12 @@ def test_kernel_early_exit_at_end_of_first_chunk(data, bits, max_size):
     extra = data.draw(st.lists(st.integers(0, 2**40 - 1), min_size=bits, max_size=bits))
     nbrs = _own_outputs(extra, [v for v in range(bits) if v != 18])
     masks = [nbrs.get(v, 0) for v in range(bits)]
-    best, checked, refuted = _scan_numpy(masks, bits, max_size, "plain", 1.0, True)
-    assert refuted == best == (0, 1, 1 << 18)
+    rep = bsc_check(_bipartite(masks), alpha=_alpha(max_size, bits), c=1.0)
+    assert not rep.verdict
+    assert (rep.worst_ratio, rep.worst_set) == (0.0, (18,))
     # every eligible mask below 2^18, and 2^18 itself
-    assert checked == sum(math.comb(18, s) for s in range(1, min(max_size, 18) + 1)) + 1
+    below = sum(math.comb(18, s) for s in range(1, min(max_size, 18) + 1))
+    assert rep.subsets_checked == below + 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -271,11 +293,12 @@ def test_kernel_early_exit_in_second_chunk(data, bits, max_size):
     nbrs = _own_outputs(extra, range(1, bits))
     nbrs[0] = nbrs[18] = 1
     masks = [nbrs[v] for v in range(bits)]
-    best, checked, refuted = _scan_numpy(masks, bits, max_size, "plain", 1.0, True)
-    assert refuted == best == (1, 2, (1 << 18) | 1)
+    rep = bsc_check(_bipartite(masks), alpha=_alpha(max_size, bits), c=1.0)
+    assert not rep.verdict
+    assert (rep.worst_ratio, rep.worst_set) == (0.5, (0, 18))
     # every eligible mask below 2^19, and 2^19 itself when there are 20 inputs
     below = sum(math.comb(19, s) for s in range(1, min(max_size, 19) + 1))
-    assert checked == below + (bits > 19)
+    assert rep.subsets_checked == below + (bits > 19)
 
 
 def _expander_matches_oracle(inc, c, restrict_half):
@@ -356,3 +379,65 @@ def test_sampled_mode_needs_positive_budget():
         bsc_check(k33(), alpha=1.0, c=1.0, mode="sampled", budget=0, seed=1)
     with pytest.raises(VerifyError):
         expander_check(k33(), c=1.0, mode="sampled", budget=0, seed=1)
+
+
+@st.composite
+def sparse_incidences(draw, max_in, max_out):
+    """A bipartite graph with at most 4 outputs per input."""
+    n_in = draw(st.integers(1, max_in))
+    n_out = draw(st.integers(1, max_out))
+    rows = draw(st.lists(st.frozensets(st.integers(0, n_out - 1), max_size=4),
+                         min_size=n_in, max_size=n_in))
+    return C.BipartiteGraph([[int(j in row) for j in range(n_out)] for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), c=st.sampled_from([0.0, 0.5, 1.0, 4 / 3, 2.0, 3.0]))
+def test_bsc_stops_at_the_first_refuting_subset_below_17_inputs(data, c):
+    # Below 17 inputs the scan is one chunk, yet it stops where a loop over
+    # the subsets in (size, lexicographic) order stops, with up to 200
+    # outputs (neighbor sets of up to four 64-bit words).
+    X = data.draw(sparse_incidences(16, 200))
+    max_size = data.draw(st.integers(1, X.n_in))
+    rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
+    ratio, worst, checked, refuted = oracles.subset_scan(X.inc, max_size, target=c)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
+    assert rep.verdict is not refuted
+
+
+def test_bsc_report_does_not_depend_on_output_padding():
+    # 17 inputs, input 5 reaches nothing: the first chunk refutes c = 1.
+    inc = np.zeros((17, 20), dtype=np.int64)
+    for v in range(17):
+        if v != 5:
+            inc[v, v] = 1
+    padded = np.hstack([inc, np.zeros((17, 45), dtype=np.int64)])
+    reports = [bsc_check(C.BipartiteGraph(m), alpha=0.5, c=1.0) for m in (inc, padded)]
+    assert reports[0] == reports[1]
+    assert reports[0].subsets_checked == sum(math.comb(17, s) for s in range(1, 9))
+    assert (reports[0].worst_ratio, reports[0].worst_set) == (0.0, (5,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.sampled_from([0, 3, 2024]), budget=st.integers(1, 12))
+def test_sampled_modes_match_the_reference_loops(data, seed, budget):
+    X = data.draw(sparse_incidences(12, 150))
+    max_size = data.draw(st.integers(1, X.n_in))
+    rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=1.0, mode="sampled",
+                    budget=budget, seed=seed)
+    want = oracles.sampled_scan(X.inc, max_size, False, budget, seed)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want
+    assert rep.verdict == (want[0] >= 1.0 - 1e-12)
+
+    adj = data.draw(sparse_graphs(data.draw(st.integers(2, 12))))
+    rep = magnifier_constant(C.Graph(adj), mode="sampled", budget=budget, seed=seed)
+    want = oracles.sampled_scan(adj, len(adj) // 2, True, budget, seed)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want
+
+    inc = data.draw(square_incidences())
+    restrict_half = data.draw(st.booleans())
+    c = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    rep = expander_check(C.BipartiteGraph(np.array(inc, dtype=np.int64)), c,
+                         restrict_half=restrict_half, mode="sampled", budget=budget, seed=seed)
+    want = oracles.expander_sampled(inc, c, restrict_half, budget, seed)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked, rep.verdict) == want
