@@ -17,7 +17,6 @@ from .permgroup import (
     FiniteGroup,
     Permutation,
     closure,
-    inverse_rows,
     right_cosets,
 )
 
@@ -97,6 +96,23 @@ class BipartiteGraph:
         return self.inc.sum(axis=0)
 
 
+def _indices(G: FiniteGroup, S: Sequence[Permutation]) -> np.ndarray:
+    """The multiset S as a (1, |S|) array of element indices, checked to lie in G."""
+    return G.lookup(G.rows_of(S))[None]
+
+
+def cayley_counts(G: FiniteGroup, idx: np.ndarray) -> np.ndarray:
+    """(b, n, n) stack of R_t = sum_s R(s) over the multiset in row t of ``idx``.
+
+    ``idx`` is a (b, k) array of element indices; R(s) has a 1 at (index of
+    s*g, g) for every g.  One gather and one ``bincount`` build the stack.
+    """
+    b, n = len(idx), len(G)
+    sg = G.lookup(G.rows[idx][:, :, G.rows])  # (b, k, n)
+    flat = (np.arange(b)[:, None, None] * n + sg) * n + np.arange(n)
+    return np.bincount(flat.ravel(), minlength=b * n * n).reshape(b, n, n)
+
+
 def cayley_graph(G: FiniteGroup, S: Sequence[Permutation]) -> Graph:
     """Vertices G; one undirected edge {g, sg} per group element and s in S.
 
@@ -105,32 +121,76 @@ def cayley_graph(G: FiniteGroup, S: Sequence[Permutation]) -> Graph:
     """
     if not S:
         raise GraphError("connection multiset S must be nonempty")
-    n = len(G)
-    # sg[a, g] is the index of s_a * g; each s adds {g, sg}, once when a loop.
-    sg = G.lookup(G.rows_of(S)[:, G.rows])
-    g = np.broadcast_to(np.arange(n), sg.shape)
-    ends = np.concatenate([(g * n + sg).ravel(), (sg * n + g)[sg != g]])
-    return Graph(np.bincount(ends, minlength=n * n).reshape(n, n))
+    R = cayley_counts(G, _indices(G, S))[0]
+    # each s adds {g, sg} to both ends, but a loop only once
+    return Graph(R + R.T - np.diag(np.diag(R)))
+
+
+class CosetGraphs:
+    """The coset graphs of one subgroup H of G, built a stack of connection
+    multisets at a time.  The right cosets, their representatives and
+    ``coset_of`` are computed once, when the object is made."""
+
+    def __init__(self, G: FiniteGroup, H: FiniteGroup) -> None:
+        self.G = G
+        self.partition = right_cosets(G, H)
+        self._coset_of = np.asarray(self.partition.coset_of)
+        reps = G.rows[[c[0] for c in self.partition.cosets]]
+        self._h_reps = H.rows[:, reps]  # (|H|, m, degree): the rows of h * rep_a
+
+    def __len__(self) -> int:
+        return len(self.partition)
+
+    def adjacency(self, idx: np.ndarray) -> np.ndarray:
+        """(b, m, m) 0/1 adjacency of the coset graph of each row of the (b, k)
+        element-index array ``idx``, loops on the diagonal.
+
+        Hb is joined to Ha exactly when Hb = H s h a for some s in S u S^-1
+        and h in H, so each coset's neighbours are the cosets of s h a.  The
+        s in S alone suffice: b = h' s h a gives Ha = H s^-1 h'^-1 b, so the
+        S^-1 edges are the S edges reversed, which the symmetric scatter adds.
+        """
+        # nb[t, c, h, a] is the coset of s_c * h * rep_a in trial t
+        nb = self._coset_of[self.G.lookup(self.G.rows[idx][:, :, self._h_reps])]
+        m = len(self)
+        t = np.arange(len(idx))[:, None, None, None]
+        a = np.arange(m)
+        adj = np.zeros((len(idx), m, m), dtype=np.int64)
+        adj[t, a, nb] = 1
+        adj[t, nb, a] = 1
+        return adj
 
 
 def coset_graph(G: FiniteGroup, H: FiniteGroup, S: Sequence[Permutation]) -> Graph:
-    """Simple graph on the right cosets Hg, joined when reps differ by H(S u S^-1)H.
-
-    Hb is joined to Ha exactly when Hb = H s h a for some s in S u S^-1 and
-    h in H, so each coset's neighbours are the cosets of s h a.
-    """
-    part = right_cosets(G, H)
+    """Simple graph on the right cosets Hg, joined when reps differ by H(S u S^-1)H."""
+    cosets = CosetGraphs(G, H)
     if not S:
         raise GraphError("connection multiset S must be nonempty")
-    conn = G.rows_of(S)
-    conn = np.concatenate([conn, inverse_rows(conn)])
-    reps = G.rows[[c[0] for c in part.cosets]]
-    b = np.asarray(part.coset_of)[G.lookup(conn[:, H.rows[:, reps]])]
-    a = np.broadcast_to(np.arange(len(part)), b.shape)
-    adj = np.zeros((len(part), len(part)), dtype=np.int64)
-    adj[a, b] = 1
-    adj[b, a] = 1
-    return Graph(adj)
+    return Graph(cosets.adjacency(_indices(G, S))[0])
+
+
+class BicosetGraphs:
+    """The bi-coset graphs on [G:L] x [G:N], built a stack of connection
+    multisets at a time.  Both coset partitions are computed once, when the
+    object is made."""
+
+    def __init__(self, G: FiniteGroup, L: FiniteGroup, N: FiniteGroup) -> None:
+        self.G = G
+        self.inputs = right_cosets(G, L)
+        self.outputs = right_cosets(G, N)
+        self._in_reps = G.rows[[c[0] for c in self.inputs.cosets]]
+        self._out_coset_of = np.asarray(self.outputs.coset_of)
+
+    def incidence(self, idx: np.ndarray) -> np.ndarray:
+        """(b, m_in, m_out) multiplicities of the bi-coset graph of each row of
+        the (b, k) element-index array ``idx``: entry [t, i, j] counts the s
+        in multiset t with N s rep_i = N_j."""
+        b, m_in, m_out = len(idx), len(self.inputs), len(self.outputs)
+        # j[t, s, i] is the N-coset of s * rep_i
+        j = self._out_coset_of[self.G.lookup(self.G.rows[idx][:, :, self._in_reps])]
+        flat = (np.arange(b)[:, None, None] * m_in + np.arange(m_in)) * m_out + j
+        inc = np.bincount(flat.ravel(), minlength=b * m_in * m_out)
+        return inc.reshape(b, m_in, m_out)
 
 
 def bicoset_graph(
@@ -151,21 +211,12 @@ def bicoset_graph(
     """
     if not S:
         raise GraphError("connection multiset S must be nonempty")
-    in_part = right_cosets(G, L)
-    out_part = right_cosets(G, N)
-    conn = G.rows_of(S)
-    in_reps = [c[0] for c in in_part.cosets]
-    out_reps = [c[0] for c in out_part.cosets]
-    # j[s, i] is the N-coset of s * rep_i.
-    j = np.asarray(out_part.coset_of)[G.lookup(conn[:, G.rows[in_reps]])]
-    i = np.broadcast_to(np.arange(len(in_part)), j.shape)
-    n_out = len(out_part)
-    inc = np.bincount((i * n_out + j).ravel(), minlength=len(in_part) * n_out)
-    inc = inc.reshape(len(in_part), n_out)
+    graphs = BicosetGraphs(G, L, N)
+    inc = graphs.incidence(_indices(G, S))[0]
     if simple:
         inc = np.minimum(inc, 1)
-    in_labels = tuple(f"Lg{r}" for r in in_reps)
-    out_labels = tuple(f"Ng{r}" for r in out_reps)
+    in_labels = tuple(f"Lg{c[0]}" for c in graphs.inputs.cosets)
+    out_labels = tuple(f"Ng{c[0]}" for c in graphs.outputs.cosets)
     return BipartiteGraph(inc, in_labels, out_labels)
 
 

@@ -6,24 +6,35 @@ absolute eigenvalue per trial, and compares the empirical tail frequency with
 the evaluated bound.  Trial t of a batch draws from ``seeded_rng(seed, t)``,
 so results are independent of execution order and bit-reproducible.
 
-Every batch and every exact enumeration goes through one path: the operators
-are stacked ``SOLVE_CHUNK_BYTES`` at a time and solved by one certified LAPACK
-call per stack (``spectral.sym_eigensystems``), so memory stays flat as the
-trial count grows.  A trial whose LAPACK mu* lies within
-``TIE_BAND * max(||M||_F, 1)`` of the event threshold is re-solved by
-``jacobi_eigensystem``, and its mu* and top eigenvalue come from that solve.
-The two solvers' eigenvalues differ by less than their certified errors
-(``DEFAULT_TOL * ||M||_F`` each), which the band covers, so every verdict is
-the one the Jacobi solver alone gives; that includes operators whose mu*
-equals the threshold exactly, which Jacobi decides by its rounding.
+Every batch and every exact enumeration goes through one path.  Its draws
+come a stack at a time as a (b, k) array of element indices (trial t's row
+from ``seeded_rng(seed, t)``; an enumeration's rows in ``itertools.product``
+order), one gather over the group's image rows builds the (b, n, n) operator
+stack, and one certified LAPACK call solves it
+(``spectral.sym_eigensystems``).  Coset partitions are computed once per
+batch.  A stack holds as many draws as fit ``SOLVE_CHUNK_BYTES``, counting both
+the operators and the image rows the draws gather, so memory grows with
+neither the trial count nor k.  The per-multiset functions
+(``cayley_operator``, ``_normalized_coset_matrix`` and the graph builders they
+call) are the one-draw case of the same builders.
+
+A trial whose LAPACK mu* lies within ``TIE_BAND * max(||M||_F, 1)`` of the
+event threshold is re-solved by ``jacobi_eigensystem``, and its mu* and top
+eigenvalue come from that solve.  The two solvers' eigenvalues differ by less
+than their certified errors (``DEFAULT_TOL * ||M||_F`` each), which the band
+covers, so every verdict is the one the Jacobi solver alone gives; that
+includes operators whose mu* equals the threshold exactly, which Jacobi
+decides by its rounding.  Jacobi is a pure function of the matrix, so each
+distinct in-band operator of a batch or enumeration is solved once and its
+repeats reuse the result.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,20 +46,15 @@ from .characters import (
     dim_sum_D,
     dim_sums_both,
 )
-from .graphs import bicayley_graph, bicoset_graph, coset_graph
-from .permgroup import (
-    FiniteGroup,
-    Permutation,
-    compose,
-    inverse,
-    right_cosets,
-    seeded_rng,
-)
+from .graphs import BicosetGraphs, CosetGraphs, bicayley_graph, cayley_counts, coset_graph
+from .permgroup import FiniteGroup, Permutation, compose, inverse, seeded_rng
 from .spectral import DEFAULT_TOL, jacobi_eigensystem, sym_eigensystems, sym_eigenvalues
 
 ENUMERATION_CAP = 10**4
-# Operator bytes per stacked solve (512 KiB).  The solve holds about four more
-# buffers of this size, so a batch's peak memory does not grow with its trials.
+# Bytes per stack (512 KiB): a stack holds as many operators as fit, or as
+# many trials' gathered image rows, whichever is less.  The solve holds about
+# four more buffers of this size, so a batch's peak memory grows with neither
+# its trials nor k.
 SOLVE_CHUNK_BYTES = 1 << 19
 # Half-width of the tie band around a threshold, relative to max(||M||_F, 1).
 TIE_BAND = 4 * DEFAULT_TOL
@@ -110,15 +116,66 @@ def product_multisets(
     return full, star
 
 
+class _Operators(NamedTuple):
+    """One family of trial operators, built a stack at a time.
+
+    ``build(t0, idx)`` turns the (b, k) element-index array of draws t0,
+    t0 + 1, ... into the (b, n, n) stack of their operators.
+    ``draw_bytes`` is the size of the image rows one drawn element gathers.
+    """
+
+    n: int
+    draw_bytes: int
+    build: Callable[[int, np.ndarray], np.ndarray]
+
+
+def _coset_stack(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each 0/1 coset adjacency of a (b, m, m) stack divided by its max row
+    sum, and whether it is regular."""
+    adj = adj.astype(float)
+    sums = adj.sum(axis=2)
+    regular = np.all(sums == sums[:, :1], axis=1)
+    return adj / sums.max(axis=1)[:, None, None], regular
+
+
+def _cayley_operators(G: FiniteGroup) -> _Operators:
+    def build(t0, idx):
+        A = cayley_counts(G, idx)
+        return (A + A.transpose(0, 2, 1)) / (2.0 * idx.shape[1])
+
+    return _Operators(len(G), G.rows.nbytes, build)
+
+
+def _coset_operators(G: FiniteGroup, H: FiniteGroup, flags: list) -> _Operators:
+    cosets = CosetGraphs(G, H)
+
+    def build(t0, idx):
+        stack, regular = _coset_stack(cosets.adjacency(idx))
+        for i in np.flatnonzero(~regular):
+            flags.append(f"trial {t0 + i}: non-regular coset graph, normalized by max degree")
+        return stack
+
+    return _Operators(len(cosets), len(cosets) * H.rows.nbytes, build)
+
+
+def _gram_operators(G: FiniteGroup, L: FiniteGroup, N: FiniteGroup) -> _Operators:
+    """Scaled input-side Grams A A^T / (2k^2) of the bi-coset graphs."""
+    bicosets = BicosetGraphs(G, L, N)
+
+    def build(t0, idx):
+        A = bicosets.incidence(idx).astype(float)
+        k = idx.shape[1]
+        return A @ A.transpose(0, 2, 1) / (2.0 * k * k)
+
+    m_in = len(bicosets.inputs)
+    return _Operators(m_in, m_in * G.rows[0].nbytes, build)
+
+
 def cayley_operator(G: FiniteGroup, S: tuple[Permutation, ...]) -> np.ndarray:
     """Normalized multigraph adjacency (1/2|S|) * sum_s (R(s) + R(s)^T)."""
     if not S:
         raise MonteCarloError("S must be nonempty")
-    n = len(G)
-    # R(s) has a 1 at (index of s*g, g) for every g.
-    sg = G.lookup(G.rows_of(S)[:, G.rows])
-    A = np.bincount((sg * n + np.arange(n)).ravel(), minlength=n * n).reshape(n, n)
-    return (A + A.T) / (2.0 * len(S))
+    return _cayley_operators(G).build(0, G.lookup(G.rows_of(S))[None])[0]
 
 
 def _normalized_coset_matrix(G, H, S) -> tuple[np.ndarray, bool]:
@@ -127,62 +184,67 @@ def _normalized_coset_matrix(G, H, S) -> tuple[np.ndarray, bool]:
     Returns (matrix, regular); a non-regular instance is divided by the max
     row sum instead.
     """
-    g = coset_graph(G, H, S)
-    adj = g.adj.astype(float)
-    sums = adj.sum(axis=1)
-    regular = bool(np.all(sums == sums[0]))
-    return adj / sums.max(), regular
+    stack, regular = _coset_stack(coset_graph(G, H, S).adj[None])
+    return stack[0], bool(regular[0])
 
 
-def _sample_indices(order: int, k: int, seed: int, trial: int) -> list[int]:
-    rng = seeded_rng(seed, trial)
-    return [int(i) for i in rng.integers(0, order, size=k)]
+def _sample_indices(order: int, k: int, seed: int, trial: int) -> np.ndarray:
+    """Trial ``trial``'s k element indices, drawn from ``seeded_rng(seed, trial)``."""
+    return seeded_rng(seed, trial).integers(0, order, size=k)
 
 
-def _solve_stack(stack: np.ndarray, threshold: float, mu: list, top: list) -> None:
-    """Append each stacked operator's mu* and top |eigenvalue|, ties arbitrated."""
+def _product_indices(order: int, k: int, t0: int, t1: int) -> np.ndarray:
+    """Rows t0..t1-1 of the |G|^k index tuples in lexicographic order, the
+    order of ``itertools.product(G.elements, repeat=k)``."""
+    powers = order ** np.arange(k - 1, -1, -1)
+    return np.arange(t0, t1)[:, None] // powers % order
+
+
+def _solve_stack(stack, threshold: float, mu: list, top: list, arbitrated: dict) -> None:
+    """Append each stacked operator's mu* and top |eigenvalue|, ties arbitrated.
+
+    ``arbitrated`` maps an operator's bytes to its Jacobi (mu*, top), so an
+    operator that recurs in the tie band is solved by Jacobi once.
+    """
     w, _, _ = sym_eigensystems(stack)
     by_abs = np.sort(np.abs(w), axis=1)
     mus = by_abs[:, -2] if w.shape[1] >= 2 else np.full(len(w), math.nan)
     tops = by_abs[:, -1]
     band = TIE_BAND * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
     for i in np.flatnonzero(np.abs(mus - threshold) <= band):
-        wj, _, _ = jacobi_eigensystem(stack[i])
-        by_abs_j = np.sort(np.abs(wj))
-        mus[i], tops[i] = by_abs_j[-2], by_abs_j[-1]
+        key = stack[i].tobytes()
+        if key not in arbitrated:
+            wj, _, _ = jacobi_eigensystem(stack[i])
+            by_abs_j = np.sort(np.abs(wj))
+            arbitrated[key] = by_abs_j[-2], by_abs_j[-1]
+        mus[i], tops[i] = arbitrated[key]
     mu.extend(mus.tolist())
     top.extend(tops.tolist())
 
 
-def _spectra(operators, threshold: float) -> tuple[list[float], list[float]]:
-    """mu* and top |eigenvalue| of each same-shape operator, in order.
+def _spectra(operators: _Operators, k: int, count: int, draws, threshold: float):
+    """mu* and top |eigenvalue| of the operators of draws 0..count-1, in order.
 
-    The operators are copied into a stack of at most ``SOLVE_CHUNK_BYTES`` and
-    solved a stack at a time, with near-threshold ties re-solved by Jacobi.
+    ``draws(t0, t1)`` gives the (t1 - t0, k) element indices of draws t0..t1-1.
+    Each stack is drawn, built and solved in turn, and holds as many draws as
+    fit ``SOLVE_CHUNK_BYTES`` by operator size and by gathered row size.
     """
+    size = max(1, SOLVE_CHUNK_BYTES // max(8 * operators.n**2, k * operators.draw_bytes))
     mu: list[float] = []
     top: list[float] = []
-    stack, filled = None, 0
-    for op in operators:
-        if stack is None:
-            size = max(1, SOLVE_CHUNK_BYTES // (8 * op.size))
-            stack = np.empty((size, *op.shape))
-        stack[filled] = op
-        filled += 1
-        if filled == len(stack):
-            _solve_stack(stack, threshold, mu, top)
-            filled = 0
-    if filled:
-        _solve_stack(stack[:filled], threshold, mu, top)
+    arbitrated: dict[bytes, tuple[float, float]] = {}
+    for t0 in range(0, count, size):
+        stack = operators.build(t0, draws(t0, min(count, t0 + size)))
+        _solve_stack(stack, threshold, mu, top, arbitrated)
     return mu, top
 
 
-def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, build, flags=()):
+def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operators, flags=()):
     """One batch: validate, evaluate the bound, draw trial t's multiset from
-    ``seeded_rng(seed, t)``, solve the operators ``build(t, S)`` and record
-    the tail.  ``subgroups`` is () for thm14, (H,) for thm15 and (L, N) for
-    thm18; the first one's cosets index the operator.  ``build`` may append
-    to ``flags`` while the trials run."""
+    ``seeded_rng(seed, t)``, solve the operators of ``make_operators()`` and
+    record the tail.  ``subgroups`` is () for thm14, (H,) for thm15 and (L, N)
+    for thm18; the first one's cosets index the operator.  The operators may
+    append to ``flags`` while they are built."""
     if variant == "thm18":
         if k < 2:
             raise MonteCarloError(f"bi-coset trials need k >= 2, got {k}")
@@ -190,7 +252,8 @@ def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, build, flags
             raise MonteCarloError("trials must be >= 1")
     elif k < 1 or trials < 1:
         raise MonteCarloError(f"need k >= 1 and trials >= 1, got k={k}, trials={trials}")
-    if subgroups and len(right_cosets(G, subgroups[0])) < 2:
+    operators = make_operators()
+    if subgroups and operators.n < 2:
         raise MonteCarloError(
             "input coset space is 1-dimensional; mu* undefined"
             if variant == "thm18"
@@ -209,11 +272,11 @@ def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, build, flags
     else:
         tb = bound_eval(BoundInputs(D_value=dim_sum_D(G, table), k=k, eps=eps, variant=variant))
         bounds, bound, vacuous = (("D", tb.bound),), tb.bound, tb.vacuous
-    operators = (
-        build(t, tuple(G.elements[i] for i in _sample_indices(len(G), k, seed, t)))
-        for t in range(trials)
-    )
-    mu_values, top_values = _spectra(operators, tb.threshold)
+
+    def draws(t0, t1):
+        return np.array([_sample_indices(len(G), k, seed, t) for t in range(t0, t1)])
+
+    mu_values, top_values = _spectra(operators, k, trials, draws, tb.threshold)
     violating = tuple(i for i, mu in enumerate(mu_values) if mu > tb.threshold)
     return TrialBatch(
         variant=variant,
@@ -246,7 +309,7 @@ def run_cayley_trials(
 ) -> TrialBatch:
     """Random Cayley multigraphs: tail of mu* past eps vs the dimension-sum bound."""
     return _run_trials(
-        "thm14", G, (), k, eps, trials, seed, table, lambda t, S: cayley_operator(G, S)
+        "thm14", G, (), k, eps, trials, seed, table, lambda: _cayley_operators(G)
     )
 
 
@@ -261,14 +324,9 @@ def run_coset_trials(
 ) -> TrialBatch:
     """Random coset graphs on [G:H], normalized by their (asserted) regular degree."""
     flags = []
-
-    def build(t, S):
-        mat, regular = _normalized_coset_matrix(G, H, S)
-        if not regular:
-            flags.append(f"trial {t}: non-regular coset graph, normalized by max degree")
-        return mat
-
-    return _run_trials("thm15", G, (H,), k, eps, trials, seed, table, build, flags)
+    return _run_trials(
+        "thm15", G, (H,), k, eps, trials, seed, table, lambda: _coset_operators(G, H, flags), flags
+    )
 
 
 def run_bicoset_trials(
@@ -286,23 +344,24 @@ def run_bicoset_trials(
     The event threshold is eps + (1-eps)/(2k); the realized top eigenvalue is
     recorded per trial since the scaling caps it at 1/2 in the bi-Cayley case.
     """
-
-    def build(t, S):
-        A = bicoset_graph(G, L, N, S).inc.astype(float)
-        return A @ A.T / (2.0 * k * k)
-
-    return _run_trials("thm18", G, (L, N), k, eps, trials, seed, table, build)
+    return _run_trials(
+        "thm18", G, (L, N), k, eps, trials, seed, table, lambda: _gram_operators(G, L, N)
+    )
 
 
 # -- exact small-case enumeration ---------------------------------------------
 
-def _enumerated_tail(G, k, eps, cap, build) -> tuple[float, int]:
-    """P(mu* > eps) of the operators ``build(S)`` over all |G|^k ordered draws."""
+def _enumerated_tail(G, k, eps, cap, make_operators) -> tuple[float, int]:
+    """P(mu* > eps) of the operators of ``make_operators()`` over all |G|^k
+    ordered draws."""
+    if k < 1:
+        raise MonteCarloError(f"need k >= 1, got k={k}")
     total = len(G) ** k
     if total > cap:
         raise MonteCarloError(f"|G|^k = {total} exceeds enumeration cap {cap}")
-    draws = itertools.product(G.elements, repeat=k)
-    mu_values, _ = _spectra((build(S) for S in draws), eps)
+    mu_values, _ = _spectra(
+        make_operators(), k, total, lambda t0, t1: _product_indices(len(G), k, t0, t1), eps
+    )
     return sum(mu > eps for mu in mu_values) / total, total
 
 
@@ -310,16 +369,14 @@ def enumerate_cayley_tail(
     G: FiniteGroup, k: int, eps: float, cap: int = ENUMERATION_CAP
 ) -> tuple[float, int]:
     """Exact P(mu* > eps) over all |G|^k ordered draws; feasible when <= cap."""
-    return _enumerated_tail(G, k, eps, cap, lambda S: cayley_operator(G, S))
+    return _enumerated_tail(G, k, eps, cap, lambda: _cayley_operators(G))
 
 
 def enumerate_coset_tail(
     G: FiniteGroup, H: FiniteGroup, k: int, eps: float, cap: int = ENUMERATION_CAP
 ) -> tuple[float, int]:
     """Exact coset-graph tail over all |G|^k ordered draws."""
-    return _enumerated_tail(
-        G, k, eps, cap, lambda S: _normalized_coset_matrix(G, H, S)[0]
-    )
+    return _enumerated_tail(G, k, eps, cap, lambda: _coset_operators(G, H, []))
 
 
 def shifted_product_spectrum_matches(
