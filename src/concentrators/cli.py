@@ -323,6 +323,25 @@ def _cmd_pipeline63(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``, checked at parse time."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_budget = _int_at_least(1)
+_seed = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concentrators",
@@ -374,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     def verify_common(p):
         p.add_argument("--graph", required=True)
         p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-        p.add_argument("--budget", type=int, default=1000)
-        p.add_argument("--seed", type=int, help="required for sampled mode")
+        p.add_argument("--budget", type=_budget, default=1000)
+        p.add_argument("--seed", type=_seed, help="required for sampled mode")
         p.add_argument("--out")
 
     p = sub.add_parser("verify-bsc", help="neighbor-count concentration check")
@@ -407,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--variant", choices=["thm14", "thm15", "thm18"], required=True)
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -420,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--L", required=True)
     p.add_argument("--S", required=True)
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, help="required when |G| > 24 (sampled magnifier)")
+    p.add_argument("--budget", type=_budget, default=1000)
+    p.add_argument("--seed", type=_seed, help="required when |G| > 24 (sampled magnifier)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pipeline63)
 

@@ -13,8 +13,8 @@ order), one gather over the group's image rows builds the (b, n, n) operator
 stack, and one certified LAPACK call solves it
 (``spectral.sym_eigensystems``).  Coset partitions are computed once per
 batch.  A stack holds as many draws as fit ``SOLVE_CHUNK_BYTES``, counting both
-the operators and the image rows the draws gather, so memory grows with
-neither the trial count nor k.  The per-multiset functions
+the operators and the image rows the draws gather with their lookup keys, so
+memory grows with neither the trial count nor k.  The per-multiset functions
 (``cayley_operator``, ``_normalized_coset_matrix`` and the graph builders they
 call) are the one-draw case of the same builders.
 
@@ -121,12 +121,18 @@ class _Operators(NamedTuple):
 
     ``build(t0, idx)`` turns the (b, k) element-index array of draws t0,
     t0 + 1, ... into the (b, n, n) stack of their operators.
-    ``draw_bytes`` is the size of the image rows one drawn element gathers.
+    ``draw_bytes`` is what one drawn element gathers: each image row with the
+    8-byte key its lookup builds (``_gather_bytes``).
     """
 
     n: int
     draw_bytes: int
     build: Callable[[int, np.ndarray], np.ndarray]
+
+
+def _gather_bytes(G: FiniteGroup, rows: int) -> int:
+    """Bytes of ``rows`` gathered image rows of G and their lookup keys."""
+    return rows * (G.rows[0].nbytes + 8)
 
 
 def _coset_stack(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +149,7 @@ def _cayley_operators(G: FiniteGroup) -> _Operators:
         A = cayley_counts(G, idx)
         return (A + A.transpose(0, 2, 1)) / (2.0 * idx.shape[1])
 
-    return _Operators(len(G), G.rows.nbytes, build)
+    return _Operators(len(G), _gather_bytes(G, len(G)), build)
 
 
 def _coset_operators(G: FiniteGroup, H: FiniteGroup, flags: list) -> _Operators:
@@ -155,7 +161,7 @@ def _coset_operators(G: FiniteGroup, H: FiniteGroup, flags: list) -> _Operators:
             flags.append(f"trial {t0 + i}: non-regular coset graph, normalized by max degree")
         return stack
 
-    return _Operators(len(cosets), len(cosets) * H.rows.nbytes, build)
+    return _Operators(len(cosets), _gather_bytes(G, len(cosets) * len(H)), build)
 
 
 def _gram_operators(G: FiniteGroup, L: FiniteGroup, N: FiniteGroup) -> _Operators:
@@ -168,7 +174,7 @@ def _gram_operators(G: FiniteGroup, L: FiniteGroup, N: FiniteGroup) -> _Operator
         return A @ A.transpose(0, 2, 1) / (2.0 * k * k)
 
     m_in = len(bicosets.inputs)
-    return _Operators(m_in, m_in * G.rows[0].nbytes, build)
+    return _Operators(m_in, _gather_bytes(G, m_in), build)
 
 
 def cayley_operator(G: FiniteGroup, S: tuple[Permutation, ...]) -> np.ndarray:

@@ -6,12 +6,14 @@ breadth-first closure, which keeps element order deterministic and lets the
 rest of the library address elements by index.
 
 A ``FiniteGroup`` holds its elements as one read-only ``(order, degree)``
-integer array ``rows`` (``uint8`` up to degree 256, wider beyond), plus the
-sorted row bytes, so ``lookup`` maps a whole array of image rows to element
-indices with one ``np.searchsorted``.  Closure, cosets and conjugacy classes
-work level by level on these arrays.  ``G.elements`` is a lazy read-only
-sequence that builds a ``Permutation`` only for the element accessed, and
-``G.index`` a read-only mapping from image tuples to indices.
+integer array ``rows`` (``uint8`` up to degree 256, wider beyond), plus one
+sorted key per row (``_keys``: the images packed 4 bits a point into a
+``uint64`` up to degree 16, the raw row bytes above), so ``lookup`` maps a
+whole array of image rows to element indices with one ``np.searchsorted``.
+Closure, cosets and conjugacy classes work level by level on these arrays.
+``G.elements`` is a lazy read-only sequence that builds a ``Permutation`` only
+for the element accessed, and ``G.index`` a read-only mapping from image
+tuples to indices.
 
 Randomness is always drawn from numpy's PCG64 seeded through ``SeedSequence``
 so that every sampled multiset is reproducible from its integer seed words.
@@ -124,10 +126,36 @@ def _perm_rows(perms: Sequence[Permutation], degree: int) -> np.ndarray:
     return np.array([p.images for p in perms], dtype=_row_dtype(degree)).reshape(-1, degree)
 
 
+# Largest degree whose rows pack into one uint64 key, 4 bits a point.
+_PACKED_DEGREE = 16
+# Rows packed per pass, which bounds the temporaries of a large key array.
+_PACK_ROWS = 1 << 14
+
+
 def _keys(rows: np.ndarray) -> np.ndarray:
-    """One exactly comparable key per image row: the row's raw bytes."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
+    """One exactly comparable key per row of an ``(n, degree)`` image array.
+
+    Up to degree 16 the images are packed 4 bits a point into one
+    little-endian ``uint64``: point p goes to bits 4p..4p+3.  Above degree 16
+    the key is the row's raw bytes.  Either way the key is injective on rows
+    of points 0..degree-1; callers use it for membership and first occurrence
+    only, never for its order.
+    """
+    n, degree = rows.shape
+    if degree > _PACKED_DEGREE:
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, degree * rows.itemsize)))[:, 0]
+    out = np.empty((n, 8), dtype=np.uint8)
+    for s in range(0, n, _PACK_ROWS):
+        part = rows[s : s + _PACK_ROWS]
+        pad = np.zeros((len(part), _PACKED_DEGREE), dtype=np.uint8)
+        pad[:, :degree] = part
+        # The low byte of each pair (image of 2j, image of 2j+1) becomes
+        # (image of 2j) | (image of 2j+1) << 4; the assignment keeps it.
+        pairs = pad.view("<u2")
+        pairs |= pairs >> 4
+        out[s : s + _PACK_ROWS] = pairs
+    return out.view("<u8")[:, 0]
 
 
 def inverse_rows(rows: np.ndarray) -> np.ndarray:
@@ -196,7 +224,8 @@ class FiniteGroup:
 
     ``rows[i]`` holds the images of element i; the array is read-only and uses
     the smallest unsigned dtype that fits the degree.  ``elements`` and
-    ``index`` are read-only views over it.
+    ``index`` are read-only views over it.  Lookups search the rows' keys
+    (``_keys``) in sorted order.
     """
 
     degree: int
@@ -211,11 +240,16 @@ class FiniteGroup:
         dtype = _row_dtype(self.degree)
         if rows.ndim != 2 or rows.shape[1] != self.degree or rows.dtype != dtype:
             raise GroupError(f"rows must be (order, {self.degree}) of {dtype}")
-        # One batch check replaces a Permutation validation per element.
-        if np.any(np.sort(rows, axis=1) != np.arange(self.degree)):
+        # One batch check replaces a Permutation validation per element: every
+        # point in range, and every point hit in every row.
+        if rows.size and rows.max() >= self.degree:
+            raise GroupError("group rows are not all bijections")
+        hit = np.zeros(rows.shape, dtype=bool)
+        hit[np.arange(len(rows))[:, None], rows] = True
+        if not hit.all():
             raise GroupError("group rows are not all bijections")
         keys = _keys(rows)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         sorted_keys = keys[order]
         if np.any(sorted_keys[1:] == sorted_keys[:-1]):
             raise GroupError("group rows repeat an element")
@@ -243,7 +277,8 @@ class FiniteGroup:
         rows = np.asarray(rows)
         flat = rows.reshape(-1, self.degree)
         ok = True
-        if flat.dtype != self.rows.dtype:
+        # Keys are injective only on rows of points 0..degree-1.
+        if flat.dtype != self.rows.dtype or (flat.size and flat.max() >= self.degree):
             ok = np.all((flat >= 0) & (flat < self.degree), axis=1)
             flat = np.where(ok[:, None], flat, 0).astype(self.rows.dtype)
         keys = _keys(flat)
@@ -314,7 +349,12 @@ def closure(
     while len(frontier) and len(gens):
         cand = gens[:, frontier].transpose(1, 0, 2).reshape(-1, degree)
         keys = _keys(cand)
-        uniq, first = np.unique(keys, return_index=True)
+        # First occurrence of each distinct key, without a stable sort.
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        uniq = keys[starts]
+        first = np.minimum.reduceat(order, starts)
         pos = np.searchsorted(seen, uniq)
         new = seen[np.minimum(pos, len(seen) - 1)] != uniq
         total += int(new.sum())

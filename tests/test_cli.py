@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import concentrators as C
 from concentrators.cli import main
@@ -426,3 +428,124 @@ def test_size_header_too_large_to_allocate_exits_2(capsys, tmp_path, text, argv)
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "allocate" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["verify-bsc", "--graph", "{bip}", "--alpha", "1.0", "--c", "0.1"],
+         [["--budget", "0"], ["--seed", "-1"]]),
+        (["verify-magnifier", "--graph", "{c4}"], [["--budget", "0"], ["--seed", "-5"]]),
+        (["verify-expander", "--graph", "{bip}", "--c", "0.5"],
+         [["--budget", "0"], ["--seed", "-1"]]),
+        (["lemma11", "--graph", "{c4}"], [["--budget", "-1"], ["--seed", "-2"]]),
+        (["montecarlo", "--group", "{s3}", "--k", "2", "--eps", "0.5", "--trials", "2",
+          "--variant", "thm14", "--seed", "1"], [["--seed", "-5"]]),
+        (["pipeline63", "--group", "{s3}", "--L", "{swap}", "--S", "{s3}"],
+         [["--budget", "0"], ["--seed", "-3"], ["--budget", "0", "--seed", "-3"]]),
+    ],
+    ids=["verify-bsc", "verify-magnifier", "verify-expander", "lemma11", "montecarlo",
+         "pipeline63"],
+)
+def test_bad_budget_or_seed_exits_2_on_every_path(
+    capsys, tmp_path, c4_file, s3_file, swap_file, argv, bad
+):
+    # Exhaustive mode and small groups never read these values, so they are
+    # checked when the command line is parsed.
+    bip = tmp_path / "bip.txt"
+    bip.write_text("bipartite 2 2\n0 0 1\n1 1 1\n")
+    files = {"bip": str(bip), "c4": c4_file, "s3": s3_file, "swap": swap_file}
+    argv = [a.format(**files) for a in argv]
+    assert _main_exit(argv) in (0, 1)
+    capsys.readouterr()
+    for flags in bad:
+        code = _main_exit(argv + flags)
+        captured = capsys.readouterr()
+        assert code == 2, flags
+        assert captured.out == ""
+        assert "error:" in captured.err and f"argument {flags[0]}: must be >=" in captured.err
+
+
+# -- malformed input files ------------------------------------------------------
+
+def _perm_lines(degree):
+    perm = st.permutations(range(degree))
+    return st.one_of(perm.map(lambda p: " ".join(map(str, p))),
+                     perm.map(lambda p: "(" + " ".join(map(str, p)) + ")"))
+
+
+_BAD_LINES = st.one_of(
+    # wrong lengths, repeated and out-of-range images or cycle points
+    st.lists(st.integers(-2, 6), max_size=6).map(lambda xs: " ".join(map(str, xs))),
+    st.lists(st.lists(st.integers(-1, 6), max_size=4), min_size=1, max_size=3).map(
+        lambda cs: "".join("(" + " ".join(map(str, c)) + ")" for c in cs)
+    ),
+    st.text(alphabet="()0123456789 -,#x", max_size=10),
+)
+_BAD_HEADERS = st.sampled_from(
+    ["", "degree", "degree x", "degree -1", "degree 0", "degree 3 3", "graph 3", "DEGREE 3"]
+)
+_BAD_BYTES = st.sampled_from(
+    [b"", b"\n\n", b"# only a comment\n", b"degree 3\n\xff\xfe(0 1)\n", b"\x80\x81\x82"]
+)
+
+
+@st.composite
+def _group_files(draw, degree):
+    """A group or multiset file: mostly well formed at ``degree``, else with
+    another degree, a bad header, a bad line, or empty or non-UTF-8 bytes."""
+    kind = draw(st.sampled_from(
+        ["good", "good", "good", "degree", "header", "line", "bytes"]
+    ))
+    if kind == "bytes":
+        return draw(_BAD_BYTES)
+    if kind == "degree":
+        degree = draw(st.integers(1, 5).filter(lambda d: d != degree))
+    head = draw(_BAD_HEADERS) if kind == "header" else f"degree {degree}"
+    lines = draw(st.lists(_perm_lines(degree), max_size=3))
+    if kind == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BAD_LINES))
+    return "\n".join([head, *lines]).encode() + b"\n"
+
+
+@st.composite
+def _group_file_triples(draw):
+    degree = draw(st.integers(1, 5))
+    return tuple(draw(_group_files(degree)) for _ in range(3))
+
+
+def _fuzz_argvs(files, out):
+    g, h, s = files
+    mc = ["montecarlo", "--group", g, "--k", "2", "--eps", "0.5", "--trials", "2", "--seed", "1"]
+    return [
+        ["construct", "--kind", "cayley", "--group", g, "--S", s, "--out", out],
+        ["construct", "--kind", "coset", "--group", g, "--H", h, "--S", s, "--out", out],
+        ["construct", "--kind", "bicoset", "--group", g, "--L", h, "--N", h, "--S", s,
+         "--out", out],
+        ["chartable", "--group", g, "--subgroup", h],
+        [*mc, "--variant", "thm14"],
+        [*mc, "--variant", "thm15", "--L", h],
+        [*mc, "--variant", "thm18", "--L", h, "--N", h],
+        ["pipeline63", "--group", g, "--L", h, "--S", s, "--budget", "50", "--seed", "1"],
+    ]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_group_file_triples())
+def test_malformed_group_files_keep_the_exit_code_contract(capsys, tmp_path, contents):
+    # Group, subgroup and multiset files of degree at most 5, each valid or
+    # malformed: every command exits 0, 1 or 2, exit 2 comes with an
+    # ``error:`` line, and no exception escapes.
+    files = []
+    for name, data in zip(("G", "H", "S"), contents):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(data)
+        files.append(str(path))
+    for argv in _fuzz_argvs(files, str(tmp_path / "out.txt")):
+        code = _main_exit(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert "error:" in captured.err, argv

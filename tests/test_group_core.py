@@ -1,5 +1,7 @@
 """Differential tests: the array-backed group core against per-element oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,11 @@ import concentrators as C
 from concentrators.characters import _class_matrices
 from concentrators.montecarlo import cayley_operator
 from concentrators.permgroup import (
+    MATHIEU12_GENERATORS,
     GroupError,
     Permutation,
+    _keys,
+    _row_dtype,
     closure,
     conjugacy_classes,
     from_cycles,
@@ -188,3 +193,135 @@ def test_elements_view_is_lazy_sequence(s4):
 def test_user_permutation_still_validated():
     with pytest.raises(GroupError):
         Permutation((0, 2, 2))
+
+
+# -- the key boundary: packed uint64 keys up to degree 16, row bytes above ------
+
+@st.composite
+def sparse_generator_sets(draw, min_degree=13, max_degree=18, max_gens=3, max_moved=5):
+    """Generators that each move at most ``max_moved`` points, so that some
+    closures finish under a small cap and others hit it."""
+    degree = draw(st.integers(min_degree, max_degree))
+    gens = []
+    for _ in range(draw(st.integers(0, max_gens))):
+        moved = draw(st.lists(st.integers(0, degree - 1), unique=True, max_size=max_moved))
+        images = list(range(degree))
+        for point, image in zip(moved, draw(st.permutations(moved))):
+            images[point] = image
+        gens.append(Permutation(tuple(images)))
+    return degree, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_generator_sets(), st.integers(1, 300))
+def test_closure_at_the_key_boundary_matches_oracle_and_cap(spec, cap):
+    degree, gens = spec
+    try:
+        expected = oracles.closure(degree, [g.images for g in gens], cap)
+    except GroupError as exc:
+        with pytest.raises(GroupError) as got:
+            closure(degree, gens, cap=cap)
+        assert str(got.value) == str(exc)
+        return
+    G = closure(degree, gens, cap=cap)
+    assert images(G) == expected
+    assert G.lookup(np.array(expected, dtype=np.int64)).tolist() == list(range(len(expected)))
+
+
+@pytest.mark.parametrize("degree", range(13, 19))
+def test_keys_separate_rows_differing_in_two_adjacent_points(degree):
+    # Rows that differ only in the images of points p and p+1: a key with too
+    # few bits a point, or one that loses the last point, merges some of them.
+    base = np.arange(degree)[::-1]
+    a, b = np.divmod(np.arange(degree * degree), degree)
+    rows = []
+    for p in range(degree - 1):
+        r = np.tile(base, (degree * degree, 1))
+        r[:, p], r[:, p + 1] = a, b
+        rows.append(r)
+    rows = np.unique(np.concatenate(rows), axis=0).astype(_row_dtype(degree))
+    assert len(np.unique(_keys(rows))) == len(rows)
+
+
+def boundary_group(degree):
+    """S4 on the points 0 and degree-3..degree-1: its rows put each of those
+    points, degree-1 included, in the last position."""
+    top = degree - 1
+    return closure(degree, [from_cycles([(0, top)], degree),
+                            from_cycles([(top - 2, top - 1, top)], degree)])
+
+
+def near_misses(G):
+    """Rows one change away from an element: the last image replaced by every
+    other point (a repeated image), and the images of points 0 and 1 swapped (a
+    bijection outside G)."""
+    rows = G.rows.astype(np.int64)
+    out = [rows[:, [1, 0, *range(2, G.degree)]]]
+    for v in range(G.degree):
+        r = rows[rows[:, -1] != v].copy()
+        r[:, -1] = v
+        out.append(r)
+    return np.concatenate(out)
+
+
+def out_of_range(G, values):
+    """Each element with one image replaced by each of ``values`` outside
+    0..degree-1."""
+    rows = G.rows.astype(np.int64)
+    out = []
+    for p in range(G.degree):
+        for v in [v for v in values if not 0 <= v < G.degree]:
+            r = rows.copy()
+            r[:, p] = v
+            out.append(r)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("degree", [16, 17])
+def test_lookup_at_the_key_boundary(degree):
+    G = boundary_group(degree)
+    assert len(G) == 24 and G.rows.dtype == np.uint8
+    # At degree 16, image 15 in the last position sets bit 63 of the key.
+    assert (G.rows[:, -1] == degree - 1).sum() == 6
+    idx = np.arange(24)
+    assert G.lookup(G.rows).tolist() == idx.tolist()
+    assert G.lookup(G.rows[::-1].astype(np.int64)).tolist() == idx[::-1].tolist()
+    got, found = G._find(G.rows.reshape(4, 6, degree))
+    assert got.tolist() == idx.reshape(4, 6).tolist() and found.all()
+    misses = near_misses(G)
+    for rows in (misses, misses.astype(np.uint8)):
+        assert not G._find(rows)[1].any()
+        with pytest.raises(GroupError, match="not an element"):
+            G.lookup(rows[-1:])
+    mixed = np.concatenate([misses, G.rows])
+    got, found = G._find(mixed)
+    assert found.tolist() == [False] * len(misses) + [True] * 24
+    assert got[found].tolist() == idx.tolist()
+
+
+@pytest.mark.parametrize("degree", [16, 17])
+def test_out_of_range_rows_are_not_found(degree):
+    G = boundary_group(degree)
+    wide = out_of_range(G, [-1, -16, degree, 16, 17, 31, 255, 256, 2**40])
+    narrow = out_of_range(G, range(degree, 256)).astype(np.uint8)
+    for rows in (wide, narrow):
+        assert not G._find(rows)[1].any()
+        with pytest.raises(GroupError, match="not an element"):
+            G.lookup(rows)
+        got, found = G._find(np.concatenate([G.rows.astype(rows.dtype), rows]))
+        assert found.sum() == 24 and got[:24].tolist() == list(range(24))
+    with pytest.raises(KeyError):
+        G.index[(degree + 15, *range(1, degree))]
+
+
+def test_closure_peak_memory_on_m12():
+    # The 12-point group's closure peaks near 6.7 MiB of numpy allocations;
+    # upcasting each whole row array to uint64 for its keys took it to 13.5 MiB.
+    tracemalloc.start()
+    try:
+        G = closure(12, MATHIEU12_GENERATORS)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(G) == 95040
+    assert peak < 8
