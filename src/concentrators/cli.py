@@ -454,8 +454,18 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# Float options that must be finite.  ``main`` rejects a non-finite value
+# right after parsing, before the command reads any file or scans a subset.
+_FINITE = ("alpha", "c")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
+    for name in _FINITE:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            print(f"error: argument --{name}: must be finite, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     # MemoryError: a size header too large to allocate, e.g. ``graph 10000000``

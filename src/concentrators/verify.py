@@ -8,22 +8,41 @@ inequality does not hold; the magnifier has none).  Every scan reports the
 least (value, witness), the witness being the lexicographically least index
 tuple among float-equal minima.
 
-Exhaustive mode (up to 24 inputs) visits every eligible subset on one kernel,
-``_subset_chunks``.  Subsets are bitmasks, visited in increasing order in the
-chunks [1, 2^18 + 1), [2^18 + 1, 2^19 + 1), ... (so no array grows much past
-2^18 entries).  Neighbor sets are split into 64-bit words.  For each word the
-input bits split into a low half of at most 12 bits and the rest; each half
-gets a table of the neighbor union of every subset of its bits, built by
-doubling (at most 4096 ``uint64`` entries each), so the union of mask ``m`` is
-``lo[m & lo_mask] | hi[m >> lo_bits]``, one broadcast OR per chunk and word,
-and |N(X)| is the sum of the words' popcounts.
+Both tables must be monotone in |N(X)| at a fixed |X|: ``value`` never
+decreases and ``fails`` never turns from False to True as |N(X)| grows, and
+``_scan`` raises if they do not.  So the least value among the subsets of
+one size, and whether any of them fails, is read at that size's least |N(X)|.
+
+Exhaustive mode (up to 24 inputs) runs one kernel, ``_Kernel``.  A subset is
+a bitmask split into a low half of at most 12 bits and a high half, and both
+halves' masks are taken in popcount order (computed once per bit count).  A
+cell is one high mask with one low popcount q; the subset's size is the high
+popcount p plus q.  The walk visits only eligible subsets: for each high mask
+it takes the prefix of low columns with popcount at most max_size - p (so 24
+inputs with max_size 12 visit 9,740,685 subsets, not 2^24 - 1).  Neighbor
+sets are split into 64-bit words; each half has a table of the neighbor union
+of every subset of its bits, built by doubling, so a block of at most 2^18
+subsets costs one broadcast OR per word and a popcount (the magnifier ORs X
+into its own union and subtracts |X|, which gives |N(X) - X|).
+``np.minimum.reduceat`` over the popcount groups reduces each block to a
+table of the least |N(X)| per cell.
+
+The answers are read off that table.  The least value is the least over the
+cells of the value at the cell's least |N(X)|; only the cells that attain it
+are re-expanded, to find the lexicographically least witness.
+``subsets_checked`` counts the eligible subsets the scan covers.
 
 A bsc scan stops at its first refutation, by a rule that depends on the
-number of inputs alone.  From ``_CHUNK_EXIT_MIN_INPUTS`` inputs it stops at
-the end of the refuting chunk.  Below that the whole scan is one chunk, and
-it stops at the first failing subset in (size, lexicographic) order, as a
-loop over ``itertools.combinations`` would: ``subsets_checked`` and the
-reported minimum cover the subsets up to and including that one.
+number of inputs alone, and both forms are read from the table too.  From
+``_CHUNK_EXIT_MIN_INPUTS`` inputs it covers every eligible mask up to the end
+of the chunk [1 + k*2^18, 1 + (k+1)*2^18) that holds the numerically least
+failing mask, found by re-expanding the failing cells of the least failing
+high mask.  Below that it stops at the first failing subset in (size,
+lexicographic) order, as a loop over ``itertools.combinations`` would: the
+failing cells of the least failing size are re-expanded to find that subset,
+the sizes below it count in full, and its own size counts up to its
+lexicographic rank.  No subset of its size before it fails, so none has a
+smaller value.
 
 Sampled mode draws ``budget`` random subsets per size, reduces them with the
 same tables, and can only refute a claimed constant, never certify it.
@@ -32,6 +51,7 @@ same tables, and can only refute a claimed constant, never certify it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +60,14 @@ from .graphs import BipartiteGraph, Graph, extended_double_cover
 from .permgroup import seeded_rng
 
 EXHAUSTIVE_CAP = 24
-# From this many inputs a refuted bsc scan stops at the end of the refuting
-# chunk; below it, right after the first refuting subset.
+# The low half of each subset bitmask has at most this many bits.
+_LO_BITS = 12
+# A refuted bsc scan from this many inputs stops at the end of the chunk
+# [1 + k*_CHUNK, 1 + (k+1)*_CHUNK) that holds its numerically least failing
+# subset; below it, right after its first failing subset in (size,
+# lexicographic) order.  _CHUNK also bounds the elements of one kernel block.
 _CHUNK_EXIT_MIN_INPUTS = 17
+_CHUNK = 1 << 18
 
 
 class VerifyError(ValueError):
@@ -83,120 +108,255 @@ def _neighbor_words(mat) -> np.ndarray:
 def _union_table(masks) -> np.ndarray:
     """Neighbor union of every subset of ``masks``, indexed by subset bitmask."""
     table = np.zeros(1 << len(masks), dtype=np.uint64)
-    for v, mask in enumerate(masks):
+    for v, mask in enumerate(masks.tolist()):
         table[1 << v : 2 << v] = table[: 1 << v] | mask
     return table
 
 
-def _subset_chunks(words, max_size, exclude_self):
-    """Yield ``(m, sizes, nbrs)`` for the nonempty input subsets, as bitmasks
-    in increasing order, one chunk [1 + k*2^18, 1 + (k+1)*2^18) of
-    [1, 2^n_in) at a time; chunks without a subset of at most ``max_size``
-    elements are skipped, and the others are not filtered.  ``nbrs`` is
-    |N(X)|, or |N(X) - X| with ``exclude_self``.  ``words`` is
-    ``_neighbor_words`` of n_in <= 24 inputs.
+@functools.cache
+def _popcount_order(bits):
+    """The masks 0 .. 2^bits - 1 ordered by popcount and then by value, their
+    popcounts, and the offset where each popcount 0 .. bits starts (with
+    2^bits appended).  Cached per bit count, so the arrays are read-only."""
+    masks = np.arange(1 << bits, dtype=np.uint64)
+    masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+    pops = np.bitwise_count(masks).astype(np.intp)
+    return _read_only(masks, pops, np.searchsorted(pops, np.arange(bits + 2)))
+
+
+@functools.cache
+def _layout(n_in):
+    """The kernel's layout of n_in inputs, cached per input count: the low bit
+    count, ``_popcount_order`` of the low and of the high half, the high
+    masks shifted into place, and the size of every cell."""
+    lb = min(n_in, _LO_BITS)
+    lo, lo_pop, lo_starts = _popcount_order(lb)
+    hi, hi_pop, hi_starts = _popcount_order(n_in - lb)
+    cells = _read_only(hi << np.uint64(lb), hi_pop[:, None] + np.arange(lb + 1))
+    return lb, lo, lo_pop, lo_starts, hi, hi_pop, hi_starts, *cells
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class _Kernel:
+    """Neighbor counts of the subsets of n_in <= 24 inputs.
+
+    A subset is a high mask (its inputs from ``lo_bits`` on) and a low mask,
+    each half in ``_popcount_order``: row i is the high mask ``hi[i]``, column
+    j the low mask ``lo[j]``, and cell (i, q) holds the subsets of row i whose
+    low half has q elements, the columns ``lo_starts[q]:lo_starts[q + 1]``.
+    The count of a subset X is |N(X)|, or |N(X) - X| with ``exclude_self``.
     """
-    n_in = len(words)
-    lo_bits = min(n_in, 12)
-    tables = [(_union_table(col[:lo_bits]), _union_table(col[lo_bits:])) for col in words.T]
-    total = 1 << n_in
-    chunk = 1 << 18
-    # lo[m & lo_mask] | hi[m >> lo_bits] over a chunk is one broadcast OR of
-    # the high rows the chunk touches with all of ``lo``, sliced to the chunk.
-    for start in range(1, total, chunk):
-        stop = min(start + chunk, total)
-        m = np.arange(start, stop, dtype=np.uint64)
-        sizes = np.bitwise_count(m)
-        if sizes.min() > max_size:
-            continue
-        first = start >> lo_bits
-        last = ((stop - 1) >> lo_bits) + 1
-        offset = first << lo_bits
-        for w, (lo, hi) in enumerate(tables):
-            union = (hi[first:last, None] | lo).ravel()[start - offset : stop - offset]
-            if exclude_self and w == 0:  # input bits all lie in the first word
-                union &= ~m
-            count = np.bitwise_count(union)
-            nbrs = count if w == 0 else nbrs + count.astype(np.intp)
-        yield m, sizes, nbrs
+
+    def __init__(self, words, exclude_self):
+        (self.lo_bits, self.lo, self.lo_pop, self.lo_starts, self.hi, self.hi_pop,
+         self.hi_starts, self.hi_masks, self.sizes) = _layout(len(words))
+        self.exclude_self = exclude_self
+        # With exclude_self, X joins its own union, so |N(X) - X| is the
+        # union's popcount minus |X|; the input bits all lie in word 0.
+        self.tables = []
+        for w, col in enumerate(words.T):
+            lo = _union_table(col[: self.lo_bits])[self.lo]
+            hi = _union_table(col[self.lo_bits :])[self.hi]
+            if exclude_self and w == 0:
+                lo |= self.lo
+                hi |= self.hi_masks
+            self.tables.append((lo, hi))
+        self.row = None  # the unions of a single row, kept by ``least``
+
+    def _unions(self, rows, ncols):
+        """Union popcounts over the rows ``rows`` and the first ``ncols``
+        columns: one broadcast OR per word."""
+        total = None
+        for lo, hi in self.tables:
+            count = np.bitwise_count(hi[rows, None] | lo[:ncols])
+            if total is None:
+                total = count.astype(np.intp) if len(self.tables) > 3 else count
+            else:
+                total += count  # at most 3 * 64 in uint8
+        return total
+
+    def least(self, max_size):
+        """The least count of every cell of subsets with at most ``max_size``
+        elements, shape (rows, lo_bits + 1); 0 in the other cells.
+
+        Each high popcount p takes the prefix of columns with low popcount up
+        to max_size - p, in blocks of at most ``_CHUNK`` unions, and
+        ``np.minimum.reduceat`` over the popcount groups reduces each block to
+        one least count per cell."""
+        lb = self.lo_bits
+        table = np.zeros((len(self.hi), lb + 1), dtype=np.intp)
+        self.ncols = int(self.lo_starts[min(max_size, lb) + 1])
+        for p in range(min(len(self.hi_starts) - 2, max_size) + 1):
+            top = min(max_size - p, lb) + 1
+            ncols = int(self.lo_starts[top])
+            first, stop = int(self.hi_starts[p]), int(self.hi_starts[p + 1])
+            step = max(1, _CHUNK // ncols)
+            for r in range(first, stop, step):
+                rows = slice(r, min(r + step, stop))
+                unions = self._unions(rows, ncols)
+                least = np.minimum.reduceat(unions, self.lo_starts[:top], axis=1)
+                table[rows, :top] = self._counts(least, self.sizes[rows, :top])
+                if len(self.hi) == 1:  # at most _LO_BITS inputs: one row
+                    self.row = unions[0]
+        return table
+
+    def members(self, cells):
+        """(masks, sizes, counts) of the subsets in the selected ``cells``,
+        flattened, in blocks of at most ``_CHUNK`` unions: the re-expansion of
+        the cells whose least count matters."""
+        lo, lo_pop = self.lo[: self.ncols], self.lo_pop[: self.ncols]
+        if self.row is not None:
+            keep = cells[0, lo_pop]
+            yield lo[keep], lo_pop[keep], self._counts(self.row[keep], lo_pop[keep])
+            return
+        rows = np.flatnonzero(cells.any(axis=1))
+        step = max(1, _CHUNK // self.ncols)
+        for r in range(0, len(rows), step):
+            block = rows[r : r + step]
+            keep = cells[block][:, lo_pop]
+            sizes = (self.hi_pop[block, None] + lo_pop)[keep]
+            unions = self._unions(block, self.ncols)[keep]
+            yield (self.hi_masks[block, None] | lo)[keep], sizes, self._counts(unions, sizes)
+
+    def _counts(self, unions, sizes):
+        return unions - sizes if self.exclude_self else unions
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def _lex_key(mask: int) -> str:
+    """Orders masks as their sorted index tuples: bit i, flipped, is
+    character i, so a set element sorts first and a prefix before its
+    extensions."""
+    return bin(mask)[:1:-1].translate(_FLIP)
 
 
 def _lex_least(cands: np.ndarray) -> int:
     """The bitmask among ``cands`` whose sorted index tuple is least."""
-    prefix = np.uint64(0)
-    while not (cands == prefix).any():
-        rest = cands & ~prefix
-        low = rest & (~rest + np.uint64(1))
+    prefix = 0  # the least tuple's first elements, held by every candidate
+    while cands.size > 16:
+        rest = cands ^ np.uint64(prefix)
+        if not rest.all():
+            return prefix
+        low = rest & -rest
         nxt = low.min()
         cands = cands[low == nxt]
-        prefix |= nxt
-    return int(prefix)
+        prefix |= int(nxt)
+    return min(cands.tolist(), key=_lex_key)
 
 
-def _through_first_failure(m, sizes, bad) -> np.ndarray:
-    """Which of the masks ``m`` a (size, lexicographic) scan visits up to and
-    including the first ``bad`` one.  Of two sets of one size, the one that
+def _lex_not_after(masks, first):
+    """Which of the ``masks`` (each the size of ``first``) come no later than
+    ``first`` in lexicographic order: of two sets of one size, the one that
     holds the least element of their symmetric difference comes first."""
-    size = sizes[bad].min()
-    first = np.uint64(_lex_least(m[bad & (sizes == size)]))
-    diff = m ^ first
-    low = diff & (~diff + np.uint64(1))
-    return (sizes < size) | ((sizes == size) & (((low & m) != 0) | (diff == 0)))
+    diff = masks ^ np.uint64(first)
+    low = diff & -diff
+    return ((low & masks) != 0) | (diff == 0)
 
 
-def _exhaustive(words, max_size, tables, exclude_self, stop_at_failure):
-    """The least (value, witness) over every eligible subset, on the kernel."""
+def _lex_rank(combo, n):
+    """How many subsets of range(n) of size len(combo) come before the sorted
+    tuple ``combo`` in lexicographic order."""
+    rank, prev, k = 0, -1, len(combo)
+    for i, a in enumerate(combo):
+        rank += sum(math.comb(n - 1 - j, k - 1 - i) for j in range(prev + 1, a))
+        prev = a
+    return rank
+
+
+def _exhaustive(words, max_size, value, fails, exclude_self, stop_at_failure):
+    """The least (value, witness) over every eligible subset, read off the
+    kernel's least count per cell (``value``/``fails`` are monotone in |N|)."""
     n_in = len(words)
-    value, fails = tables(np.arange(1, max_size + 1)[:, None])
-    width = value.shape[1]
-    # Rows for every size 0..n_in, so that chunks need no filtering: larger
-    # sets than max_size never attain a finite minimum and never fail.
+    kernel = _Kernel(words, exclude_self)
+    least = kernel.least(max_size)
+    sizes = kernel.sizes
     value = _size_rows(value, n_in, np.inf)
-    fails = None if fails is None else _size_rows(fails, n_in, False)
-    best = None
-    checked = 0
+    cell_value = value[sizes, least]
+    region = None  # the cells a stopped scan covers in full
+    edge = None  # the size inside which a scan stops, after subset ``first``
     failed = False
-    for m, sizes, nbrs in _subset_chunks(words, max_size, exclude_self):
-        key = sizes.astype(np.intp) * width + nbrs
-        eligible = np.count_nonzero(sizes <= max_size)
-        if fails is not None and not failed:
-            bad = fails[key]
-            failed = bool(bad.any())
-            if failed and stop_at_failure and n_in < _CHUNK_EXIT_MIN_INPUTS:
-                visited = _through_first_failure(m, sizes, bad)
-                m, key = m[visited], key[visited]
-                eligible = m.size
-        checked += int(eligible)
-        v = value[key]
-        low = v.min()
-        if best is None or low <= best[0]:
-            cand = (float(low), _mask_to_set(_lex_least(m[v == low])))
-            best = cand if best is None else min(best, cand)
-        if failed and stop_at_failure:
-            break
-    return (*best, checked, failed)
+    if fails is not None:
+        fails = _size_rows(fails, n_in, False)
+        cell_fails = fails[sizes, least]
+        failed = bool(cell_fails.any())
+    if not (failed and stop_at_failure):
+        checked = sum(math.comb(n_in, s) for s in range(1, max_size + 1))
+    elif n_in >= _CHUNK_EXIT_MIN_INPUTS:
+        # The numerically least failing subset is in the failing cells of the
+        # least failing high mask, and the scan ends with its chunk, whose
+        # last mask has no low bits.
+        rows = np.flatnonzero(cell_fails.any(axis=1))
+        row = rows[np.argmin(kernel.hi[rows])]
+        cells = np.zeros_like(cell_fails)
+        cells[row] = cell_fails[row]
+        masks, s, counts = next(kernel.members(cells))
+        first = int(masks[fails[s, counts]].min())
+        last = ((first - 1) // _CHUNK + 1) * _CHUNK
+        region = (sizes >= 1) & (sizes <= max_size)
+        if last < 1 << n_in:
+            hi, top = kernel.hi[:, None], last >> kernel.lo_bits
+            region &= (hi < top) | ((hi == top) & (sizes == kernel.hi_pop[:, None]))
+        checked = int((np.diff(kernel.lo_starts) * region).sum())
+    else:
+        # The first failing subset in (size, lexicographic) order ends the
+        # scan; the subsets of its size before it do not fail and it does, so
+        # none of them has a smaller value.
+        size = int(sizes[cell_fails].min())
+        found = []
+        for masks, s, counts in kernel.members(cell_fails & (sizes == size)):
+            bad = fails[s, counts]
+            one = _lex_least(masks[bad])
+            found.append((one, value[size, counts[masks == one][0]]))
+        first, first_value = min(found, key=lambda pair: _lex_key(pair[0]))
+        region = (sizes >= 1) & (sizes < size)
+        edge = size
+        checked = sum(math.comb(n_in, s) for s in range(1, size))
+        checked += _lex_rank(_mask_to_set(first), n_in) + 1
+    if region is None:
+        low = cell_value.min()
+        cells = cell_value == low
+    else:
+        low = cell_value[region].min(initial=np.inf)
+        if edge is not None:
+            low = min(low, first_value)
+            region |= sizes == edge
+        cells = region & (cell_value <= low)
+    best = []
+    for masks, s, counts in kernel.members(cells):
+        hit = value[s, counts] == low
+        if edge is not None:
+            hit &= (s != edge) | _lex_not_after(masks, first)
+        if hit.any():
+            best.append(_lex_least(masks[hit]))
+    return float(low), _mask_to_set(min(best, key=_lex_key)), checked, failed
 
 
 def _size_rows(table, n_in, fill) -> np.ndarray:
     """The rows of ``table`` (sizes 1, 2, ...) placed among rows 0..n_in of
-    ``fill``, flattened for lookup by size * width + |N|."""
+    ``fill``, for lookup by [size, |N|]."""
     rows = np.full((n_in + 1, table.shape[1]), fill, dtype=table.dtype)
     rows[1 : len(table) + 1] = table
-    return rows.ravel()
+    return rows
 
 
-def _sampled(words, max_size, tables, exclude_self, budget, seed):
+def _sampled(words, max_size, value, fails, exclude_self, budget, seed):
     """The least (value, witness) over ``budget`` sorted
     ``rng.choice(n_in, size, replace=False)`` draws per size, one at a time."""
     rng = seeded_rng(seed)
     masks = [int.from_bytes(row.tobytes(), "little") for row in words]
+    value = value.tolist()
+    fails = None if fails is None else fails.tolist()
     best = None
     checked = 0
     failed = False
     for size in range(1, max_size + 1):
-        value, fails = tables(np.array([[size]]))
-        value = value[0].tolist()
-        fails = None if fails is None else fails[0].tolist()
         for _ in range(budget):
             combo = tuple(sorted(int(x) for x in rng.choice(len(masks), size=size, replace=False)))
             union = 0
@@ -206,11 +366,21 @@ def _sampled(words, max_size, tables, exclude_self, budget, seed):
                 union &= ~sum(1 << v for v in combo)
             nbrs = union.bit_count()
             checked += 1
-            failed = failed or (fails is not None and fails[nbrs])
-            cand = (value[nbrs], combo)
+            failed = failed or (fails is not None and fails[size - 1][nbrs])
+            cand = (value[size - 1][nbrs], combo)
             if best is None or cand < best:
                 best = cand
     return (*best, checked, failed)
+
+
+def _check_monotone(value, fails) -> None:
+    """Every scan reads a size's least value, and whether any of its subsets
+    fails, at that size's least |N|; that needs ``value`` never to decrease
+    and ``fails`` never to turn from False to True as |N| grows."""
+    if not (value[:, 1:] >= value[:, :-1]).all():
+        raise VerifyError("oracle value table decreases as |N| grows")
+    if fails is not None and (fails[:, 1:] > fails[:, :-1]).any():
+        raise VerifyError("oracle failure table turns true as |N| grows")
 
 
 def _scan(mat, max_size, tables, mode, budget, seed, exclude_self=False, stop_at_failure=False):
@@ -218,7 +388,8 @@ def _scan(mat, max_size, tables, mode, budget, seed, exclude_self=False, stop_at
     over the input sets of at most ``max_size`` rows of ``mat``.
 
     ``tables(sizes, nbrs)`` gives ``value`` and ``fails`` (or None) on the
-    broadcast grid of a size column and the neighbor counts 0..n_out.
+    broadcast grid of a size column and the neighbor counts 0..n_out; both
+    must be monotone in the neighbor count (``_check_monotone``).
     ``stop_at_failure`` ends an exhaustive scan at its first failing subset.
     """
     n_in, n_out = np.shape(mat)
@@ -233,11 +404,12 @@ def _scan(mat, max_size, tables, mode, budget, seed, exclude_self=False, stop_at
     else:
         raise VerifyError(f"unknown mode {mode!r}")
     words = _neighbor_words(mat)
-    tables = functools.partial(tables, nbrs=np.arange(n_out + 1))
     max_size = min(max_size, n_in)
+    value, fails = tables(np.arange(1, max_size + 1)[:, None], np.arange(n_out + 1))
+    _check_monotone(value, fails)
     if mode == "exhaustive":
-        return _exhaustive(words, max_size, tables, exclude_self, stop_at_failure)
-    return _sampled(words, max_size, tables, exclude_self, budget, seed)
+        return _exhaustive(words, max_size, value, fails, exclude_self, stop_at_failure)
+    return _sampled(words, max_size, value, fails, exclude_self, budget, seed)
 
 
 def bsc_check(

@@ -549,3 +549,122 @@ def test_malformed_group_files_keep_the_exit_code_contract(capsys, tmp_path, con
         assert "Traceback" not in captured.err
         if code == 2:
             assert "error:" in captured.err, argv
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify-bsc", "--alpha", "0.5"], "--c"),
+        (["verify-bsc", "--c", "1.0"], "--alpha"),
+        (["verify-magnifier"], "--c"),
+        (["verify-expander"], "--c"),
+    ],
+    ids=["verify-bsc-c", "verify-bsc-alpha", "verify-magnifier", "verify-expander"],
+)
+def test_non_finite_c_and_alpha_rejected_before_the_graph_is_read(capsys, tmp_path, argv, flag):
+    # The graph file does not exist: the finiteness error comes first.
+    missing = str(tmp_path / "missing.txt")
+    for text in ("nan", "inf", "-inf", "NaN"):
+        code = _main_exit([*argv, f"{flag}={text}", "--graph", missing])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {flag}: must be finite")
+
+
+# -- malformed graph and design files -------------------------------------------
+
+
+_GRAPH_LINES = st.one_of(
+    st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.integers(-2, 3)).map(
+        lambda e: " ".join(map(str, e))
+    ),
+    st.lists(st.integers(-1, 6), max_size=5).map(lambda xs: " ".join(map(str, xs))),
+    st.sampled_from(["0 1 99999999999999999999", "0 1 x", "0 1 1.5", "0 0 1", "1 0 1"]),
+    st.text(alphabet="0123456789 -.x#", max_size=8),
+)
+
+
+@st.composite
+def _graph_files(draw):
+    """A graph file of at most 6 vertices or a 6 x 6 bipartite graph: a
+    plain or bipartite header (possibly malformed) and edge lines (possibly
+    malformed), or empty or non-UTF-8 bytes."""
+    kind = draw(st.sampled_from(["graph", "bipartite", "header", "bytes"]))
+    if kind == "bytes":
+        return draw(st.sampled_from([b"", b"\n", b"# comment\n", b"graph 2\n\xff 1 1\n", b"\x80"]))
+    if kind == "graph":
+        head = f"graph {draw(st.integers(-1, 6))}"
+    elif kind == "bipartite":
+        head = f"bipartite {draw(st.integers(-1, 6))} {draw(st.integers(-1, 6))}"
+    else:
+        head = draw(st.sampled_from(["graph", "bipartite 3", "graph 2 2", "graph x", "GRAPH 2",
+                                     "bipartite 2 x", "design 3 1", "graph 1.5"]))
+    lines = draw(st.lists(_GRAPH_LINES, max_size=8))
+    return "\n".join([head, *lines]).encode() + b"\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_graph_files())
+def test_malformed_graph_files_keep_the_exit_code_contract(capsys, tmp_path, data):
+    # Every command that reads a graph file exits 0, 1 or 2, exit 2 comes
+    # with an ``error:`` line, and no exception escapes.
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    g = str(path)
+    for argv in (
+        ["spectrum", "--graph", g],
+        ["verify-bsc", "--graph", g, "--alpha", "0.5", "--c", "1.0"],
+        ["verify-magnifier", "--graph", g],
+        ["verify-magnifier", "--graph", g, "--mode", "sampled", "--budget", "3", "--seed", "1"],
+        ["verify-expander", "--graph", g, "--c", "0.5"],
+        ["verify-expander", "--graph", g, "--c", "0.5", "--no-restrict-half"],
+        ["lemma11", "--graph", g],
+        ["construct", "--kind", "double-cover", "--graph", g, "--out", str(tmp_path / "o.txt")],
+    ):
+        code = _main_exit(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert "error:" in captured.err, argv
+
+
+@st.composite
+def _design_files(draw):
+    """A design file on at most 7 points: a header (possibly malformed or with
+    the wrong block count) and blocks of any size, with repeated or
+    out-of-range points, or empty or non-UTF-8 bytes."""
+    kind = draw(st.sampled_from(["design", "design", "header", "bytes"]))
+    if kind == "bytes":
+        return draw(st.sampled_from([b"", b"\n", b"# comment\n", b"design 3 1\n\xff\n", b"\x80"]))
+    blocks = draw(st.lists(st.lists(st.integers(-1, 7), min_size=1, max_size=4), max_size=6))
+    if kind == "design":
+        head = f"design {draw(st.integers(-1, 7))} {len(blocks) + draw(st.sampled_from([0, 0, 1, -1]))}"
+    else:
+        head = draw(st.sampled_from(["design", "design 3", "design x 1", "graph 3", "DESIGN 3 1",
+                                     "design 3 1 1"]))
+    lines = [" ".join(map(str, b)) for b in blocks]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["x", "1.5", "0 y"])))
+    return "\n".join([head, *lines]).encode() + b"\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_design_files(), st.integers(-1, 4), st.integers(-1, 3), st.sampled_from([None, 0, 3, 9]))
+def test_malformed_design_files_keep_the_exit_code_contract(capsys, tmp_path, data, t, gamma,
+                                                             contract):
+    path = tmp_path / "d.txt"
+    path.write_bytes(data)
+    argv = ["design", "--in", str(path), "--t", str(t), "--gamma", str(gamma), "--validate"]
+    if contract is not None:
+        argv += ["--contract", str(contract)]
+    for extra in ([], ["--out", str(tmp_path / "o.txt")]):
+        code = _main_exit(argv + extra)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert "error:" in captured.err, argv

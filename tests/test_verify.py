@@ -441,3 +441,153 @@ def test_sampled_modes_match_the_reference_loops(data, seed, budget):
                          restrict_half=restrict_half, mode="sampled", budget=budget, seed=seed)
     want = oracles.expander_sampled(inc, c, restrict_half, budget, seed)
     assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked, rep.verdict) == want
+
+
+# -- the eligible-only kernel against the reference loops ------------------------
+
+
+@st.composite
+def pooled_incidences(draw, min_in, max_in):
+    """A bipartite graph with ``min_in``..``max_in`` inputs and 1-70 outputs,
+    each input reaching at most 3 outputs of a pool of 8, which straddles
+    output 64 when the pool starts at 57-63: ratios tie and fail often, and
+    neighbor sets cross the 64-bit word split."""
+    n_in = draw(st.integers(min_in, max_in))
+    n_out = draw(st.integers(1, 70))
+    start = draw(st.integers(0, max(0, n_out - 8)))
+    pool = st.integers(start, min(n_out - 1, start + 7))
+    rows = draw(st.lists(st.frozensets(pool, max_size=3), min_size=n_in, max_size=n_in))
+    return C.BipartiteGraph([[int(j in row) for j in range(n_out)] for row in rows])
+
+
+def _bsc_reference(X, max_size, c):
+    """(worst ratio, witness, subsets checked, refuted) by the reference loop
+    of the stop rule for this many inputs."""
+    if X.n_in >= 17:
+        return oracles.chunked_bsc_scan(X.inc, max_size, c)
+    return oracles.subset_scan(X.inc, max_size, target=c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), c=st.sampled_from([0.0, 0.5, 1.0, 4 / 3, 2.0, 3.0]))
+def test_kernel_matches_the_reference_loops(data, c):
+    # bsc on 1-20 inputs: every max_size up to 12 inputs; from 13 inputs
+    # max_size <= 3, which keeps the Python loops short.
+    X = data.draw(pooled_incidences(1, 20))
+    max_size = data.draw(st.integers(1, X.n_in if X.n_in <= 12 else 3))
+    rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
+    ratio, worst, checked, refuted = _bsc_reference(X, max_size, c)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
+    assert rep.verdict is not refuted
+    # the magnifier (|X| <= n/2) on up to 14 vertices
+    adj = data.draw(sparse_graphs(data.draw(st.integers(2, 14))))
+    rep = magnifier_constant(C.Graph(adj))
+    want = oracles.subset_scan(adj, len(adj) // 2, exclude_self=True)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want[:3]
+    # the expander on up to 12 inputs, every eligible size
+    inc = data.draw(square_incidences(max_n=12))
+    _expander_matches_oracle(inc, c, data.draw(st.booleans()))
+
+
+@st.composite
+def late_refutations(draw):
+    """17-20 inputs.  Inputs other than 18 reach their own output and up to
+    two of outputs 20-29, so no set of them has fewer neighbors than
+    elements; input 18 reaches only output v of an input v that reaches
+    nothing else, so {v, 18} (mask 2^18 + 2^v, in chunk 1) refutes c = 1
+    when there are 19 or 20 inputs.  Returns (graph, max_size)."""
+    n_in = draw(st.integers(17, 20))
+    extra = st.frozensets(st.integers(20, 29), max_size=2)
+    rows = [{v} | draw(extra) for v in range(n_in)]
+    if n_in > 18:
+        v = draw(st.integers(0, 17))
+        rows[v], rows[18] = {v}, {v}
+    inc = [[int(j in row) for j in range(30)] for row in rows]
+    return C.BipartiteGraph(inc), draw(st.integers(1, n_in))
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=late_refutations(), c=st.sampled_from([0.9, 1.0]))
+def test_bsc_chunk_exit_matches_the_mask_by_mask_reference(case, c):
+    X, max_size = case
+    rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
+    ratio, worst, checked, refuted = oracles.chunked_bsc_scan(X.inc, max_size, c)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
+    assert rep.verdict is not refuted
+    assert refuted == (X.n_in > 18 and max_size > 1)
+    if refuted:
+        assert checked > sum(math.comb(18, s) for s in range(1, min(max_size, 18) + 1))
+
+
+@settings(max_examples=8, deadline=None)
+@given(X=pooled_incidences(17, 19), c=st.sampled_from([0.5, 1.0, 2.0]),
+       max_size=st.integers(1, 19))
+def test_bsc_chunk_exit_on_pooled_graphs(X, c, max_size):
+    max_size = min(max_size, X.n_in)
+    rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
+    ratio, worst, checked, refuted = oracles.chunked_bsc_scan(X.inc, max_size, c)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
+    assert rep.verdict is not refuted
+
+
+@pytest.mark.parametrize(
+    "rows, n_out, worst",
+    [
+        # ratio 1 at {0, 1, 2} (size 3) and at {3} (size 1): the larger set
+        # comes first in lexicographic order
+        ([{0, 1, 2}, {0, 1, 2}, {0, 1, 2}, {3}], 4, (0, 1, 2)),
+        # ratio 2 at {2} and at {0, 1} (N = {0, 1, 2, 3}) and {0, 1, 2}
+        ([{0, 1, 2}, {1, 2, 3}, {4, 5}], 6, (0, 1)),
+        # across the word split: ratio 1/2 at {0, 1} and at {2, 3, 4, 5}
+        ([{63}, {63}, {64, 65}, {64, 65}, {64, 65}, {64, 65}], 70, (0, 1)),
+    ],
+    ids=["size3-before-size1", "size2-before-size1", "word-split"],
+)
+def test_float_equal_minima_at_different_sizes(rows, n_out, worst):
+    X = C.BipartiteGraph([[int(j in row) for j in range(n_out)] for row in rows])
+    for max_size in range(len(worst), X.n_in + 1):
+        rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=0.0)
+        assert rep.worst_set == worst
+        assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == \
+            oracles.subset_scan(X.inc, max_size)[:3]
+
+
+def test_scan_where_most_rows_have_no_eligible_subset():
+    # 20 inputs and max_size 1: only the high rows of popcount 0 and 1 hold
+    # an eligible subset.  {0} refutes c = 3 in the first chunk, which holds
+    # 19 of the 20 singletons (mask 2^19 lies in the third chunk).
+    inc = np.zeros((20, 70), dtype=np.int64)
+    for v in range(20):
+        inc[v, (3 * v) % 70] = inc[v, 69 - v] = 1
+    X = C.BipartiteGraph(inc)
+    rep = bsc_check(X, alpha=1 / 20, c=3.0)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked, rep.verdict) == \
+        (2.0, (0,), 19, False) == (*oracles.chunked_bsc_scan(inc, 1, 3.0)[:3], False)
+    rep = magnifier_constant(C.Graph(np.zeros((3, 3), dtype=np.int64)))
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (0.0, (0,), 3)
+
+
+def test_refutation_at_size_one_leaves_no_complete_size():
+    # Below 17 inputs the scan stops right after {2}, the first refuting set.
+    inc = np.ones((9, 4), dtype=np.int64)
+    inc[2] = 0
+    rep = bsc_check(C.BipartiteGraph(inc), alpha=1.0, c=1.0)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked, rep.verdict) == \
+        (0.0, (2,), 3, False)
+
+
+@pytest.mark.parametrize("which", ["value", "fails"])
+def test_non_monotone_table_raises(which):
+    from concentrators.verify import _scan
+
+    def tables(size, nbrs):
+        value = nbrs / size
+        fails = nbrs < size
+        if which == "value":
+            return -value, fails  # decreases as |N| grows
+        return value, ~fails  # turns true as |N| grows
+
+    with pytest.raises(VerifyError, match="as |N| grows"):
+        _scan(k33().inc, 2, tables, "exhaustive", 1000, None)
+    with pytest.raises(VerifyError, match="as |N| grows"):
+        _scan(k33().inc, 2, tables, "sampled", 5, 1)
