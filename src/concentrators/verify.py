@@ -113,6 +113,12 @@ def _union_table(masks) -> np.ndarray:
     return table
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.cache
 def _popcount_order(bits):
     """The masks 0 .. 2^bits - 1 ordered by popcount and then by value, their
@@ -136,10 +142,25 @@ def _layout(n_in):
     return lb, lo, lo_pop, lo_starts, hi, hi_pop, hi_starts, *cells
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+@functools.cache
+def _walk(n_in, max_size):
+    """The kernel's walk over the subsets of at most ``max_size`` of n_in
+    inputs, cached: the widest column prefix, the blocks, and the number of
+    subsets.  Each high popcount p takes the prefix of columns with low
+    popcount up to max_size - p, in blocks of at most ``_CHUNK`` unions; a
+    block is (rows, columns, popcount group starts, cell sizes)."""
+    lb, _, _, lo_starts, _, _, hi_starts, _, sizes = _layout(n_in)
+    blocks = []
+    for p in range(min(n_in - lb, max_size) + 1):
+        top = min(max_size - p, lb) + 1
+        ncols = int(lo_starts[top])
+        first, stop = int(hi_starts[p]), int(hi_starts[p + 1])
+        step = max(1, _CHUNK // ncols)
+        for r in range(first, stop, step):
+            rows = slice(r, min(r + step, stop))
+            blocks.append((rows, ncols, lo_starts[:top], sizes[rows, :top]))
+    count = sum(math.comb(n_in, size) for size in range(1, max_size + 1))
+    return int(lo_starts[min(max_size, lb) + 1]), tuple(blocks), count
 
 
 class _Kernel:
@@ -153,8 +174,9 @@ class _Kernel:
     """
 
     def __init__(self, words, exclude_self):
-        (self.lo_bits, self.lo, self.lo_pop, self.lo_starts, self.hi, self.hi_pop,
-         self.hi_starts, self.hi_masks, self.sizes) = _layout(len(words))
+        self.n_in = len(words)
+        (self.lo_bits, self.lo, self.lo_pop, self.lo_starts, self.hi, self.hi_pop, _,
+         self.hi_masks, self.sizes) = _layout(self.n_in)
         self.exclude_self = exclude_self
         # With exclude_self, X joins its own union, so |N(X) - X| is the
         # union's popcount minus |X|; the input bits all lie in word 0.
@@ -182,27 +204,17 @@ class _Kernel:
 
     def least(self, max_size):
         """The least count of every cell of subsets with at most ``max_size``
-        elements, shape (rows, lo_bits + 1); 0 in the other cells.
-
-        Each high popcount p takes the prefix of columns with low popcount up
-        to max_size - p, in blocks of at most ``_CHUNK`` unions, and
-        ``np.minimum.reduceat`` over the popcount groups reduces each block to
-        one least count per cell."""
-        lb = self.lo_bits
-        table = np.zeros((len(self.hi), lb + 1), dtype=np.intp)
-        self.ncols = int(self.lo_starts[min(max_size, lb) + 1])
-        for p in range(min(len(self.hi_starts) - 2, max_size) + 1):
-            top = min(max_size - p, lb) + 1
-            ncols = int(self.lo_starts[top])
-            first, stop = int(self.hi_starts[p]), int(self.hi_starts[p + 1])
-            step = max(1, _CHUNK // ncols)
-            for r in range(first, stop, step):
-                rows = slice(r, min(r + step, stop))
-                unions = self._unions(rows, ncols)
-                least = np.minimum.reduceat(unions, self.lo_starts[:top], axis=1)
-                table[rows, :top] = self._counts(least, self.sizes[rows, :top])
-                if len(self.hi) == 1:  # at most _LO_BITS inputs: one row
-                    self.row = unions[0]
+        elements, shape (rows, lo_bits + 1); 0 in the other cells.  Each block
+        of ``_walk`` is reduced by ``np.minimum.reduceat`` over its popcount
+        groups to one least count per cell."""
+        table = np.zeros((len(self.hi), self.lo_bits + 1), dtype=np.intp)
+        self.ncols, blocks, _ = _walk(self.n_in, max_size)
+        for rows, ncols, groups, sizes in blocks:
+            unions = self._unions(rows, ncols)
+            least = np.minimum.reduceat(unions, groups, axis=1)
+            table[rows, : len(groups)] = self._counts(least, sizes)
+        if len(self.hi) == 1:  # at most _LO_BITS inputs: one row, kept
+            self.row = unions[0]
         return table
 
     def members(self, cells):
@@ -212,7 +224,8 @@ class _Kernel:
         lo, lo_pop = self.lo[: self.ncols], self.lo_pop[: self.ncols]
         if self.row is not None:
             keep = cells[0, lo_pop]
-            yield lo[keep], lo_pop[keep], self._counts(self.row[keep], lo_pop[keep])
+            sizes = lo_pop[keep]
+            yield lo[keep], sizes, self._counts(self.row[keep], sizes)
             return
         rows = np.flatnonzero(cells.any(axis=1))
         step = max(1, _CHUNK // self.ncols)
@@ -242,12 +255,12 @@ def _lex_least(cands: np.ndarray) -> int:
     prefix = 0  # the least tuple's first elements, held by every candidate
     while cands.size > 16:
         rest = cands ^ np.uint64(prefix)
-        if not rest.all():
-            return prefix
         low = rest & -rest
-        nxt = low.min()
+        nxt = int(np.minimum.reduce(low))
+        if nxt == 0:  # ``prefix`` is itself a candidate
+            return prefix
         cands = cands[low == nxt]
-        prefix |= int(nxt)
+        prefix |= nxt
     return min(cands.tolist(), key=_lex_key)
 
 
@@ -287,7 +300,7 @@ def _exhaustive(words, max_size, value, fails, exclude_self, stop_at_failure):
         cell_fails = fails[sizes, least]
         failed = bool(cell_fails.any())
     if not (failed and stop_at_failure):
-        checked = sum(math.comb(n_in, s) for s in range(1, max_size + 1))
+        checked = _walk(n_in, max_size)[2]
     elif n_in >= _CHUNK_EXIT_MIN_INPUTS:
         # The numerically least failing subset is in the failing cells of the
         # least failing high mask, and the scan ends with its chunk, whose
@@ -333,9 +346,11 @@ def _exhaustive(words, max_size, value, fails, exclude_self, stop_at_failure):
         hit = value[s, counts] == low
         if edge is not None:
             hit &= (s != edge) | _lex_not_after(masks, first)
-        if hit.any():
-            best.append(_lex_least(masks[hit]))
-    return float(low), _mask_to_set(min(best, key=_lex_key)), checked, failed
+        masks = masks[hit]
+        if masks.size:
+            best.append(_lex_least(masks))
+    witness = best[0] if len(best) == 1 else min(best, key=_lex_key)
+    return float(low), _mask_to_set(witness), checked, failed
 
 
 def _size_rows(table, n_in, fill) -> np.ndarray:
