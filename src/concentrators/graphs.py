@@ -40,7 +40,7 @@ class Graph:
         adj = np.array(self.adj, dtype=np.int64)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise GraphError(f"adjacency must be square, got {adj.shape}")
-        if np.any(adj < 0) or np.any(adj != adj.T):
+        if (adj < 0).any() or (adj != adj.T).any():
             raise GraphError("adjacency must be symmetric and non-negative")
         object.__setattr__(self, "adj", _freeze(adj))
 
@@ -56,7 +56,7 @@ class Graph:
         return self.adj.sum(axis=1) + np.diag(self.adj)
 
     def is_simple(self) -> bool:
-        return bool(np.all(np.diag(self.adj) == 0) and np.all(self.adj <= 1))
+        return not (self.adj.diagonal().any() or (self.adj > 1).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +71,13 @@ class BipartiteGraph:
         inc = np.array(self.inc, dtype=np.int64)
         if inc.ndim != 2:
             raise GraphError(f"incidence must be 2-d, got {inc.shape}")
-        if np.any(inc < 0):
+        if (inc < 0).any():
             raise GraphError("multiplicities must be non-negative")
         object.__setattr__(self, "inc", _freeze(inc))
         if not self.in_labels:
-            object.__setattr__(self, "in_labels", tuple(str(i) for i in range(inc.shape[0])))
+            object.__setattr__(self, "in_labels", tuple(map(str, range(inc.shape[0]))))
         if not self.out_labels:
-            object.__setattr__(self, "out_labels", tuple(str(j) for j in range(inc.shape[1])))
+            object.__setattr__(self, "out_labels", tuple(map(str, range(inc.shape[1]))))
         if len(self.in_labels) != inc.shape[0] or len(self.out_labels) != inc.shape[1]:
             raise GraphError("label count does not match matrix shape")
 
@@ -232,7 +232,8 @@ def extended_double_cover(g: Graph) -> BipartiteGraph:
     """Bipartite graph with incidence A + I; wants a simple input graph."""
     if not g.is_simple():
         raise GraphError("extended double cover needs a simple graph")
-    inc = g.adj + np.eye(g.n, dtype=np.int64)
+    inc = g.adj.copy()
+    inc.flat[:: g.n + 1] = 1  # A + I, as a simple graph has no loops
     labels_x = tuple(f"x{i}" for i in range(g.n))
     labels_y = tuple(f"y{i}" for i in range(g.n))
     return BipartiteGraph(inc, labels_x, labels_y)

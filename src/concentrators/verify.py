@@ -14,7 +14,7 @@ decreases and ``fails`` never turns from False to True as |N(X)| grows, and
 one size, and whether any of them fails, is read at that size's least |N(X)|.
 
 Exhaustive mode (up to 24 inputs) runs one kernel, ``_Kernel``.  A subset is
-a bitmask split into a low half of at most 12 bits and a high half, and both
+a bitmask split into a low half of 12 bits and a high half, and both
 halves' masks are taken in popcount order (computed once per bit count).  A
 cell is one high mask with one low popcount q; the subset's size is the high
 popcount p plus q.  The walk visits only eligible subsets: for each high mask
@@ -32,16 +32,24 @@ cells of the value at the cell's least |N(X)|; only the cells that attain it
 are re-expanded, to find the lexicographically least witness.
 ``subsets_checked`` counts the eligible subsets the scan covers.
 
+Up to ``_LO_BITS`` inputs the high half is empty and the kernel is one row,
+which ``_one_row`` reads subset by subset instead (``_row_order``, cached per
+input count, holds the row in (size, lexicographic) order with each subset's
+lexicographic rank across sizes; the eligible subsets for any max_size are a
+prefix).  Its unions give ``value`` and ``fails`` per subset: a bsc scan
+stops at the first failing one, and the witness is the attaining subset of
+least lexicographic rank.
+
 A bsc scan stops at its first refutation, by a rule that depends on the
 number of inputs alone, and both forms are read from the table too.  From
 ``_CHUNK_EXIT_MIN_INPUTS`` inputs it covers every eligible mask up to the end
 of the chunk [1 + k*2^18, 1 + (k+1)*2^18) that holds the numerically least
 failing mask, found by re-expanding the failing cells of the least failing
 high mask.  Below that it stops at the first failing subset in (size,
-lexicographic) order, as a loop over ``itertools.combinations`` would: the
-failing cells of the least failing size are re-expanded to find that subset,
-the sizes below it count in full, and its own size counts up to its
-lexicographic rank.  No subset of its size before it fails, so none has a
+lexicographic) order, as a loop over ``itertools.combinations`` would: from
+13 inputs the failing cells of the least failing size are re-expanded to find
+that subset, the sizes below it count in full, and its own size counts up to
+its lexicographic rank.  No subset of its size before it fails, so none has a
 smaller value.
 
 Sampled mode draws ``budget`` random subsets per size, reduces them with the
@@ -60,7 +68,8 @@ from .graphs import BipartiteGraph, Graph, extended_double_cover
 from .permgroup import seeded_rng
 
 EXHAUSTIVE_CAP = 24
-# The low half of each subset bitmask has at most this many bits.
+# The kernel's low half has this many bits; with at most this many inputs the
+# high half is empty and the scan reads the kernel's one row (``_one_row``).
 _LO_BITS = 12
 # A refuted bsc scan from this many inputs stops at the end of the chunk
 # [1 + k*_CHUNK, 1 + (k+1)*_CHUNK) that holds its numerically least failing
@@ -132,10 +141,10 @@ def _popcount_order(bits):
 
 @functools.cache
 def _layout(n_in):
-    """The kernel's layout of n_in inputs, cached per input count: the low bit
-    count, ``_popcount_order`` of the low and of the high half, the high
-    masks shifted into place, and the size of every cell."""
-    lb = min(n_in, _LO_BITS)
+    """The kernel's layout of n_in > _LO_BITS inputs, cached per input count:
+    the low bit count, ``_popcount_order`` of the low and of the high half,
+    the high masks shifted into place, and the size of every cell."""
+    lb = _LO_BITS
     lo, lo_pop, lo_starts = _popcount_order(lb)
     hi, hi_pop, hi_starts = _popcount_order(n_in - lb)
     cells = _read_only(hi << np.uint64(lb), hi_pop[:, None] + np.arange(lb + 1))
@@ -164,7 +173,7 @@ def _walk(n_in, max_size):
 
 
 class _Kernel:
-    """Neighbor counts of the subsets of n_in <= 24 inputs.
+    """Neighbor counts of the subsets of _LO_BITS < n_in <= 24 inputs.
 
     A subset is a high mask (its inputs from ``lo_bits`` on) and a low mask,
     each half in ``_popcount_order``: row i is the high mask ``hi[i]``, column
@@ -188,7 +197,6 @@ class _Kernel:
                 lo |= self.lo
                 hi |= self.hi_masks
             self.tables.append((lo, hi))
-        self.row = None  # the unions of a single row, kept by ``least``
 
     def _unions(self, rows, ncols):
         """Union popcounts over the rows ``rows`` and the first ``ncols``
@@ -213,8 +221,6 @@ class _Kernel:
             unions = self._unions(rows, ncols)
             least = np.minimum.reduceat(unions, groups, axis=1)
             table[rows, : len(groups)] = self._counts(least, sizes)
-        if len(self.hi) == 1:  # at most _LO_BITS inputs: one row, kept
-            self.row = unions[0]
         return table
 
     def members(self, cells):
@@ -222,11 +228,6 @@ class _Kernel:
         flattened, in blocks of at most ``_CHUNK`` unions: the re-expansion of
         the cells whose least count matters."""
         lo, lo_pop = self.lo[: self.ncols], self.lo_pop[: self.ncols]
-        if self.row is not None:
-            keep = cells[0, lo_pop]
-            sizes = lo_pop[keep]
-            yield lo[keep], sizes, self._counts(self.row[keep], sizes)
-            return
         rows = np.flatnonzero(cells.any(axis=1))
         step = max(1, _CHUNK // self.ncols)
         for r in range(0, len(rows), step):
@@ -283,10 +284,67 @@ def _lex_rank(combo, n):
     return rank
 
 
+@functools.cache
+def _row_order(n_in):
+    """The nonempty subsets of n_in <= _LO_BITS inputs, the kernel's one row,
+    cached per input count: their masks in (size, lexicographic) order, which
+    is ``itertools.combinations`` size by size, their sizes, each one's rank
+    in the lexicographic order of index tuples across sizes, and, for each k
+    from 0 to n_in, how many of them have at most k elements.
+
+    The lexicographic order of the subsets of {k, .., n_in - 1} is the empty
+    set, then k joined to each of those of {k + 1, ..}, then the nonempty
+    ones of {k + 1, ..}; a stable sort by size keeps it within each size."""
+    lex = np.zeros(1, dtype=np.uint64)
+    for k in reversed(range(n_in)):
+        lex = np.concatenate((lex[:1], lex | np.uint64(1 << k), lex[1:]))
+    rank = np.empty(1 << n_in, dtype=np.intp)
+    rank[lex] = np.arange(1 << n_in)
+    masks, sizes, starts = _popcount_order(n_in)
+    order = np.lexsort((rank[masks], sizes))[1:]  # the empty set sorts first
+    masks = masks[order]
+    return _read_only(masks, sizes[order], rank[masks], starts[1:] - 1)
+
+
+def _one_row(words, max_size, value, fails, exclude_self, stop_at_failure):
+    """The least (value, witness) over the subsets of at most ``max_size`` of
+    n_in <= _LO_BITS inputs, read subset by subset from the kernel's one row
+    in (size, lexicographic) order: a bsc scan stops at its first failing
+    subset, and the witness is the least in lexicographic order among the
+    scanned subsets that attain the least value."""
+    masks, sizes, rank, upto = _row_order(len(words))
+    end = int(upto[max_size])
+    masks, sizes = masks[:end], sizes[:end]
+    counts = np.zeros(end, dtype=np.intp)
+    for w, col in enumerate(words.T):
+        unions = _union_table(col)[masks]
+        if exclude_self and w == 0:
+            unions |= masks
+        counts += np.bitwise_count(unions)
+    if exclude_self:
+        counts -= sizes
+    rows = sizes - 1
+    values = value[rows, counts]
+    failed = False
+    if fails is not None:
+        bad = fails[rows, counts]
+        failed = bool(bad.any())
+        if failed and stop_at_failure:
+            end = int(bad.argmax()) + 1
+            values = values[:end]
+    low = values.min()
+    hits = (values == low).nonzero()[0]
+    witness = int(masks[hits[rank[hits].argmin()]])
+    return float(low), _mask_to_set(witness), end, failed
+
+
 def _exhaustive(words, max_size, value, fails, exclude_self, stop_at_failure):
     """The least (value, witness) over every eligible subset, read off the
-    kernel's least count per cell (``value``/``fails`` are monotone in |N|)."""
+    kernel's least count per cell (``value``/``fails`` are monotone in |N|),
+    or from its one row by ``_one_row`` up to ``_LO_BITS`` inputs."""
     n_in = len(words)
+    if n_in <= _LO_BITS:
+        return _one_row(words, max_size, value, fails, exclude_self, stop_at_failure)
     kernel = _Kernel(words, exclude_self)
     least = kernel.least(max_size)
     sizes = kernel.sizes
@@ -535,8 +593,8 @@ def _expansion_holds(n, c, size, nbrs):
 def _largest_c(n, size, nbrs):
     """The largest c for which a set of this size and neighbor count passes;
     inf when |A| = n, which passes for every c or none."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(size < n, n * (nbrs - size) / (size * (n - size)), np.inf)
+    num = n * (nbrs - size)
+    return np.divide(num, size * (n - size), out=np.full(num.shape, np.inf), where=size < n)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ tests in ``test_group_core.py`` and ``test_verify.py`` compare two
 independent computations.  The one exception is ``chunked_bsc_scan``, which
 walks every mask of up to 20 inputs in numpy, one mask per array element,
 because a Python loop over 2^20 masks is too slow for a test.
+``parse_graph_text`` is the graph file reader that writes one matrix cell per
+edge line, the reference of ``test_fileio.py``; it shares only the graph
+classes with the reader it checks.
 """
 
 import itertools
@@ -315,3 +318,36 @@ def _expander_fold(inc, c, combos):
         elif nbrs < size:
             verdict = False
     return best_c, best_set, checked, verdict
+
+
+def parse_graph_text(text):
+    """The graph file reader that writes each edge line into the matrix as it
+    reads it, in file order, and rejects a line whose cell an earlier line set
+    nonzero.  Returns the graph, or raises what the reader raised."""
+    from concentrators.fileio import FormatError
+    from concentrators.graphs import BipartiteGraph, Graph
+
+    lines = [ln.strip() for ln in text.splitlines()
+             if ln.strip() and not ln.strip().startswith("#")]
+    if not lines:
+        raise FormatError("empty graph file")
+    head = lines[0].split()
+    if head[0] == "graph" and len(head) == 2:
+        n = m = int(head[1])
+    elif head[0] == "bipartite" and len(head) == 3:
+        n, m = int(head[1]), int(head[2])
+    else:
+        raise FormatError(f"expected 'graph n' or 'bipartite n m' header, got {lines[0]!r}")
+    mat = np.zeros((n, m), dtype=np.int64)
+    for ln in lines[1:]:
+        i, j, mult = (int(t) for t in ln.split())
+        if not (0 <= i < n and 0 <= j < m):
+            raise FormatError(f"edge endpoint outside 0..{n - 1} x 0..{m - 1}: {ln!r}")
+        if not -(2**63) <= mult < 2**63:
+            raise FormatError(f"edge multiplicity does not fit int64: {ln!r}")
+        if mat[i, j] != 0:
+            raise FormatError(f"duplicate edge line: {ln!r}")
+        mat[i, j] = mult
+        if head[0] == "graph":
+            mat[j, i] = mult
+    return Graph(mat) if head[0] == "graph" else BipartiteGraph(mat)

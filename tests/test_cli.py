@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
-from concentrators.cli import main
+from concentrators.cli import _canonical_json, main
 from concentrators.fileio import save_graph
 
 
@@ -668,3 +669,78 @@ def test_malformed_design_files_keep_the_exit_code_contract(capsys, tmp_path, da
         assert "Traceback" not in captured.err
         if code == 2:
             assert "error:" in captured.err, argv
+
+
+# -- the canonical JSON writer against json.dumps --------------------------------
+
+_ODD_STRINGS = ["", "\x00\x01\x1f\x7f", "tab\tnew\nline\r", 'quote" back\\slash /', "café",
+                "  ", "\U0001f600", "\ud800", "x" * 40]
+_ODD_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 2.225073858507201e-308, 1e16,
+               1e-7, 0.1, 1 / 3, 123456789012.0, 1.7976931348623157e308, -1e300]
+_text = st.one_of(st.text(), st.sampled_from(_ODD_STRINGS))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_ODD_FLOATS),
+    _text,
+)
+_number_keys = st.one_of(st.integers(-5, 5), st.floats(-2.0, 2.0), st.booleans())
+_payloads = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_text, children, max_size=5),
+        st.dictionaries(_number_keys, children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_payloads)
+def test_canonical_writer_matches_json_dumps(payload):
+    want = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    assert _canonical_json(payload) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_payloads, st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.sampled_from(["value", "item", "key"]))
+def test_canonical_writer_rejects_non_finite_floats(payload, bad, where):
+    payload = {"value": {"a": payload, "b": bad}, "item": [payload, [bad]],
+               "key": {bad: payload}}[where]
+    with pytest.raises(ValueError):
+        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        _canonical_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [np.int64(3), {"a": np.bool_(True)}, [set()], {"k": object()}, {(1, 2): 3}, {None: 1, "a": 2}],
+    ids=["numpy-int", "numpy-bool", "set", "object", "tuple-key", "mixed-keys"],
+)
+def test_canonical_writer_raises_type_error_like_json(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        _canonical_json(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_payload_exits_2(capsys, monkeypatch, c4_file, bad):
+    # Every float the CLI reads is checked before a scan, so feed the
+    # non-finite value through the report the writer receives.
+    def report(g, **kwargs):
+        return C.ConcentrationReport("exhaustive", bad, (0,), 1, True)
+
+    monkeypatch.setattr(C.verify, "magnifier_constant", report)
+    code = main(["verify-magnifier", "--graph", c4_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

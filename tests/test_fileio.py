@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concentrators as C
 from concentrators.fileio import (
@@ -19,6 +21,8 @@ from concentrators.fileio import (
     save_graph,
 )
 from concentrators.permgroup import from_cycles
+
+import oracles
 
 
 def test_parse_image_line():
@@ -119,3 +123,37 @@ def test_comments_and_blank_lines_ignored():
     text = "# a comment\ndegree 2\n\n(0 1)\n"
     g = parse_group_text(text)
     assert len(g) == 2
+
+
+_EDGE_LINES = st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4),
+              st.sampled_from([0, 0, 1, 2, -1, 2**63 - 1, 2**63, -(2**63) - 1])
+              ).map(lambda e: " ".join(map(str, e))),
+    st.sampled_from(["0 1", "0 1 1 1", "0 x 1", "0 1 1.5", "# note", "", "  2 3 1  ", "1_0 0 1"]),
+)
+
+
+@st.composite
+def _graph_texts(draw):
+    """Small graph files whose edge lines repeat cells often (directly, as
+    mirror images, or after a zero multiplicity) and are sometimes malformed."""
+    head = draw(st.sampled_from(["graph 0", "graph 3", "graph 4", "bipartite 3 4",
+                                 "bipartite 4 2", "bipartite 0 2", "graph -1", "graph",
+                                 "bipartite 2", "# header comment"]))
+    lines = draw(st.lists(_EDGE_LINES, max_size=10))
+    return "\n".join([head, *lines]) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(g), (g.adj if isinstance(g, C.Graph) else g.inc).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_texts())
+def test_graph_reader_matches_the_line_by_line_reference(text):
+    # The same graph, or the same first error with the same message.
+    assert _outcome(parse_graph_text, text) == _outcome(oracles.parse_graph_text, text)

@@ -591,3 +591,69 @@ def test_non_monotone_table_raises(which):
         _scan(k33().inc, 2, tables, "exhaustive", 1000, None)
     with pytest.raises(VerifyError, match="as |N| grows"):
         _scan(k33().inc, 2, tables, "sampled", 5, 1)
+
+
+# -- the one-row read (at most 12 inputs) and the two-row layout from 13 -------
+
+
+@st.composite
+def tied_blocks(draw, n):
+    """n inputs and n outputs in blocks: the inputs of a block, placed at
+    random indices, all reach the block's outputs, as many as the block has
+    inputs.  Every union of whole blocks has exactly as many neighbors as
+    elements, so the bsc ratio 1 and the expander constant 0 are attained at
+    several sizes at once, and only the lexicographic rule picks the witness."""
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    rows = [set()] * n
+    for lo, hi in zip(bounds, bounds[1:]):
+        for k in range(lo, hi):
+            rows[perm[k]] = set(range(lo, hi))
+    return C.BipartiteGraph([[int(j in row) for j in range(n)] for row in rows])
+
+
+def _check_one_row_scans(X, c, max_sizes, adj, square):
+    """bsc on ``X`` at each of ``max_sizes`` against ``subset_scan`` with its
+    stop rule, the magnifier on ``adj``, and the expander on ``square`` half
+    restricted and not, against ``expander_scan``."""
+    for max_size in max_sizes:
+        rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
+        ratio, worst, checked, refuted = oracles.subset_scan(X.inc, max_size, target=c)
+        assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
+        assert rep.verdict is not refuted
+    if len(adj) >= 2:
+        rep = magnifier_constant(C.Graph(adj))
+        want = oracles.subset_scan(adj, len(adj) // 2, exclude_self=True)
+        assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want[:3]
+        for restrict_half in (True, False):
+            _expander_matches_oracle(square.tolist(), c - 0.5, restrict_half)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_in=st.integers(1, 13), c=st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+def test_one_row_read_matches_the_reference_loops(data, n_in, c):
+    # Up to 12 inputs every scan is the kernel's one row; 13 is the first
+    # input count with two rows.  A bsc scan at a drawn max_size, c refuting
+    # or not; the magnifier; the expander half restricted and not.
+    X = data.draw(st.one_of(tied_blocks(n_in), pooled_incidences(n_in, n_in)))
+    row = st.lists(st.integers(0, 1), min_size=n_in, max_size=n_in)
+    square = data.draw(st.one_of(tied_blocks(n_in).map(lambda G: G.inc),
+                                 st.lists(row, min_size=n_in, max_size=n_in).map(np.array)))
+    adj = data.draw(sparse_graphs(n_in))
+    _check_one_row_scans(X, c, [data.draw(st.integers(1, n_in))], adj, square)
+
+
+@pytest.mark.parametrize("n_in", range(1, 14))
+def test_one_row_read_at_every_max_size(n_in):
+    # Every input count and every max_size, on tied blocks (float-equal
+    # minima at several sizes) placed by a fixed seed.
+    rng = np.random.default_rng(n_in)
+    cuts = np.flatnonzero(rng.random(n_in - 1) < 0.4) + 1
+    perm = rng.permutation(n_in)
+    inc = np.zeros((n_in, n_in), dtype=np.int64)
+    for lo, hi in zip([0, *cuts], [*cuts, n_in]):
+        inc[np.ix_(perm[lo:hi], range(lo, hi))] = 1
+    adj = np.triu((rng.random((n_in, n_in)) < 0.3).astype(np.int64), 1)
+    for c in (1.0, 1.5):
+        _check_one_row_scans(C.BipartiteGraph(inc), c, range(1, n_in + 1), adj + adj.T, inc)
