@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import concentrators as C
+from concentrators.cli import _int_at_least
 from concentrators.montecarlo import (
     aggregate_rows,
     render_csv,
@@ -49,8 +50,9 @@ def build_grid():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=300)
-    parser.add_argument("--seed", type=int, required=True)
+    # Checked at parse time, so a bad value exits 2 with a usage error.
+    parser.add_argument("--trials", type=_int_at_least(1), default=300)
+    parser.add_argument("--seed", type=_int_at_least(0), required=True)
     parser.add_argument("--out", default="tail_experiments.csv")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--timings", action="store_true")

@@ -8,7 +8,8 @@ so results are independent of execution order and bit-reproducible.
 
 Every batch and every exact enumeration goes through one path.  Its draws
 come a stack at a time as a (b, k) array of element indices (trial t's row
-from ``seeded_rng(seed, t)``; an enumeration's rows in ``itertools.product``
+equal to ``seeded_rng(seed, t)``'s draw, made for the whole stack at once by
+``permgroup.seeded_indices``; an enumeration's rows in ``itertools.product``
 order), one gather over the group's image rows builds the (b, n, n) operator
 stack, and one certified LAPACK call solves it
 (``spectral.sym_eigensystems``).  Coset partitions are computed once per
@@ -47,7 +48,7 @@ from .characters import (
     dim_sums_both,
 )
 from .graphs import BicosetGraphs, CosetGraphs, bicayley_graph, cayley_counts, coset_graph
-from .permgroup import FiniteGroup, Permutation, compose, inverse, seeded_rng
+from .permgroup import FiniteGroup, Permutation, compose, inverse, seeded_indices
 from .spectral import DEFAULT_TOL, jacobi_eigensystem, sym_eigensystems, sym_eigenvalues
 
 ENUMERATION_CAP = 10**4
@@ -194,11 +195,6 @@ def _normalized_coset_matrix(G, H, S) -> tuple[np.ndarray, bool]:
     return stack[0], bool(regular[0])
 
 
-def _sample_indices(order: int, k: int, seed: int, trial: int) -> np.ndarray:
-    """Trial ``trial``'s k element indices, drawn from ``seeded_rng(seed, trial)``."""
-    return seeded_rng(seed, trial).integers(0, order, size=k)
-
-
 def _product_indices(order: int, k: int, t0: int, t1: int) -> np.ndarray:
     """Rows t0..t1-1 of the |G|^k index tuples in lexicographic order, the
     order of ``itertools.product(G.elements, repeat=k)``."""
@@ -258,6 +254,8 @@ def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operato
             raise MonteCarloError("trials must be >= 1")
     elif k < 1 or trials < 1:
         raise MonteCarloError(f"need k >= 1 and trials >= 1, got k={k}, trials={trials}")
+    if seed < 0:
+        raise MonteCarloError(f"seed must be >= 0, got {seed}")
     operators = make_operators()
     if subgroups and operators.n < 2:
         raise MonteCarloError(
@@ -280,7 +278,7 @@ def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operato
         bounds, bound, vacuous = (("D", tb.bound),), tb.bound, tb.vacuous
 
     def draws(t0, t1):
-        return np.array([_sample_indices(len(G), k, seed, t) for t in range(t0, t1)])
+        return seeded_indices(seed, t0, t1, len(G), k)
 
     mu_values, top_values = _spectra(operators, k, trials, draws, tb.threshold)
     violating = tuple(i for i, mu in enumerate(mu_values) if mu > tb.threshold)

@@ -16,11 +16,16 @@ for the element accessed, and ``G.index`` a read-only mapping from image
 tuples to indices.
 
 Randomness is always drawn from numpy's PCG64 seeded through ``SeedSequence``
-so that every sampled multiset is reproducible from its integer seed words.
+so that every sampled multiset is reproducible from its integer seed words;
+``seeded_rng`` defines that stream.  ``seeded_indices`` makes a whole stack
+of Monte Carlo trials' draws in one numpy pass, bit-identical to each trial's
+``seeded_rng(seed, t).integers(0, order, size=k)``, and falls back to
+``seeded_rng`` where that pass would not be exact.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -432,11 +437,14 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes as sorted index tuples, ordered by least member.
 
     Each class is the orbit of its least member under conjugation by the
-    generators, grown a whole frontier at a time.
+    generators, grown a whole frontier at a time: one lookup finds every
+    generator's conjugates of the frontier, and the distinct unassigned ones
+    are the next frontier.
     """
     gens = _perm_rows(G.generators, G.degree)
     conjugators = list(zip(gens, inverse_rows(gens)))
     assigned = np.zeros(len(G), dtype=bool)
+    slot = np.empty(len(G), dtype=np.intp)
     classes = []
     start = 0
     while not assigned[start:].all():
@@ -446,15 +454,15 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
         frontier = orbit[0]
         while len(frontier) and conjugators:
             x = G.rows[frontier]
-            level = []
-            for g, ginv in conjugators:
-                # g x g^-1 maps p to g(x(g^-1(p))).  Distinct x give distinct
-                # conjugates, so marking them keeps the level free of repeats.
-                y = G.lookup(g[x[:, ginv]])
-                y = y[~assigned[y]]
-                assigned[y] = True
-                level.append(y)
-            frontier = np.concatenate(level)
+            # g x g^-1 maps p to g(x(g^-1(p))).
+            y = G.lookup(np.stack([g[x[:, ginv]] for g, ginv in conjugators])).ravel()
+            y = y[~assigned[y]]
+            # One position per distinct element: the one whose write to its
+            # slot was kept, whichever write that was.
+            pos = np.arange(len(y))
+            slot[y] = pos
+            frontier = y[slot[y] == pos]
+            assigned[frontier] = True
             orbit.append(frontier)
         classes.append(tuple(np.sort(np.concatenate(orbit)).tolist()))
     return tuple(classes)
@@ -490,6 +498,159 @@ def seeded_rng(*words: int) -> np.random.Generator:
     ``seeded_rng(seed, trial_index)``, so serial and parallel runs agree.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(words))))
+
+
+# -- one-pass draws of a trial stack ------------------------------------------
+#
+# ``seeded_indices`` recomputes, for a whole stack of trials at once, what
+# ``seeded_rng(seed, t).integers(0, order, size=k)`` draws: numpy's
+# SeedSequence hash, PCG64's seeding, its XSL-RR output and the Lemire bound.
+# Hash constants are masked Python ints and every array is uint32 or uint64,
+# so all arithmetic wraps as numpy's C code does.
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+# SeedSequence (numpy/random/bit_generator.pyx): pool of 4 uint32 words.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(n: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative int, least significant first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash(values: np.ndarray, h: int, mult: int, count: int) -> tuple[np.ndarray, int]:
+    """``count`` successive SeedSequence hashes of ``values`` (broadcast over
+    a leading axis of length ``count``) from hash constant h, and the next
+    constant.  Hash i xors with constant i and multiplies by constant i + 1."""
+    consts = [h]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    c = np.array(consts, dtype=np.uint32)[:, None]
+    out = (values ^ c[:-1]) * c[1:]
+    return out ^ out >> 16, consts[-1]
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ out >> 16
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, uint64)`` for each column of
+    an (words, b) uint32 entropy array: the (b, 4) uint64 seeds of PCG64."""
+    padded = np.zeros((max(len(entropy), _POOL_SIZE), entropy.shape[1]), dtype=np.uint32)
+    padded[: len(entropy)] = entropy
+    # mix_entropy: hash the first pool-size words, then mix every pool word
+    # into every other one, then mix each remaining word into all of them.
+    # Each step's hashes of one source word are independent, so they run as
+    # one array operation in numpy's order of hash constants.
+    pool, h = _hash(padded[:_POOL_SIZE], _INIT_A, _MULT_A, _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        mixed, h = _hash(pool[src], h, _MULT_A, _POOL_SIZE - 1)
+        pool[dst] = _mix(pool[dst], mixed)
+    for word in padded[_POOL_SIZE:]:
+        mixed, h = _hash(word, h, _MULT_A, _POOL_SIZE)
+        pool = _mix(pool, mixed)
+    # generate_state cycles through the pool for 8 uint32 words and pairs
+    # them little-endian into 4 uint64 words.
+    state, _ = _hash(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) uint64 limbs of the (2, n) table [A_j; C_j] for
+    j = 2..n+1, where A_j = M^j and C_j = sum_{i<j} M^i mod 2^128: the
+    PCG64 state j steps after x is A_j x + C_j inc."""
+    mask = (1 << 128) - 1
+    A, C = [], []
+    a, c = _PCG_MULT, 1  # j = 1
+    for _ in range(n):
+        a, c = a * _PCG_MULT & mask, (c + a) & mask
+        A.append(a)
+        C.append(c)
+    hi = np.array([[v >> 64 for v in A], [v >> 64 for v in C]], dtype=np.uint64)
+    lo = np.array([[v & _MASK64 for v in A], [v & _MASK64 for v in C]], dtype=np.uint64)
+    hi.setflags(write=False)
+    lo.setflags(write=False)
+    return hi, lo
+
+
+def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products of two uint64 arrays."""
+    x0, x1 = x & _MASK32, x >> 32
+    y0, y1 = y & _MASK32, y >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg64_outputs(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n outputs of PCG64 seeded with each row of the (b, 4)
+    uint64 ``words``: a (b, n) uint64 array."""
+    v0, v1, v2, v3 = (w[:, None] for w in words.T)
+    # pcg64_set_seed: initstate = v0:v1, inc = (v2:v3) << 1 | 1.  Seeding
+    # steps the state from 0, adds initstate and steps again, so output j
+    # comes from the state A_{j+2} x + C_{j+2} inc, with x = inc + initstate.
+    inc_hi, inc_lo = v2 << 1 | v3 >> 63, v3 << 1 | 1
+    x_lo = inc_lo + v1
+    x_hi = inc_hi + v0 + (x_lo < inc_lo)
+    # Both products mod 2^128 at once: [x; inc] times [A; C].
+    a_hi, a_lo = _jump_tables(n)
+    y_hi, y_lo = np.stack([x_hi, inc_hi]), np.stack([x_lo, inc_lo])
+    a_hi, a_lo = a_hi[:, None], a_lo[:, None]
+    p_lo = y_lo * a_lo
+    p_hi = _mulhi64(y_lo, a_lo) + y_hi * a_lo + y_lo * a_hi
+    lo = p_lo[0] + p_lo[1]
+    hi = p_hi[0] + p_hi[1] + (lo < p_lo[0])
+    # XSL-RR: rotate hi ^ lo right by the top 6 bits of the state.
+    value, rot = hi ^ lo, hi >> 58
+    return value >> rot | value << (64 - rot & 63)
+
+
+def seeded_indices(seed: int, t0: int, t1: int, order: int, k: int) -> np.ndarray:
+    """The (t1 - t0, k) int64 array whose row t - t0 is
+    ``seeded_rng(seed, t).integers(0, order, size=k)``, drawn for all rows at once.
+
+    Each row runs numpy's own SeedSequence, PCG64 and Lemire steps in array
+    arithmetic, so it is bit-identical to the per-trial generator.  A row in
+    which Lemire's method would reject a draw, and every row when
+    ``order >= 2^32`` or ``t1 > 2^32``, is drawn by ``seeded_rng`` itself.
+    """
+    seed, t0, t1, order, k = int(seed), int(t0), int(t1), int(order), int(k)
+    if seed < 0:
+        raise GroupError(f"seed must be >= 0, got {seed}")
+    if not 0 <= t0 <= t1:
+        raise GroupError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
+    if not 0 < order < 1 << 32 or t1 > 1 << 32:
+        out = np.empty((t1 - t0, k), dtype=np.int64)
+        redraw = range(t1 - t0)
+    else:
+        words = _seed_words(seed)
+        entropy = np.empty((len(words) + 1, t1 - t0), dtype=np.uint32)
+        entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+        entropy[-1] = np.arange(t0, t1)
+        n = (k + 1) // 2
+        out64 = _pcg64_outputs(_state_words(entropy), n)
+        # numpy's next_uint32 hands out each 64-bit output low half first.
+        u32 = np.stack([out64 & _MASK32, out64 >> 32], axis=2).reshape(t1 - t0, 2 * n)[:, :k]
+        m = u32 * order
+        out = (m >> 32).astype(np.int64)
+        redraw = np.flatnonzero(((m & _MASK32) < ((1 << 32) - order) % order).any(axis=1))
+    for i in redraw:
+        out[i] = seeded_rng(seed, t0 + int(i)).integers(0, order, size=k)
+    return out
 
 
 def sample_multiset(G: FiniteGroup, k: int, seed: int) -> tuple[Permutation, ...]:

@@ -18,7 +18,7 @@ from concentrators.montecarlo import (
     run_cayley_trials,
     run_coset_trials,
 )
-from concentrators.permgroup import Permutation, closure, from_cycles
+from concentrators.permgroup import Permutation, closure, from_cycles, seeded_rng
 
 import oracles
 
@@ -145,7 +145,7 @@ def test_non_regular_flags_keep_trial_order_across_stacks(s4, monkeypatch):
     monkeypatch.setattr(montecarlo, "CosetGraphs", StandIn)
     swap4 = closure(4, [from_cycles([(0, 1)], 4)], name="swap4")
     whole = run_coset_trials(s4, swap4, k=3, eps=0.5, trials=40, seed=8)
-    odd = [t for t in range(40) if montecarlo._sample_indices(24, 3, 8, t)[0] % 2]
+    odd = [t for t in range(40) if seeded_rng(8, t).integers(0, 24, size=3)[0] % 2]
     assert 0 < len(odd) < 40
     assert whole.flags == tuple(f"trial {t}: {NON_REGULAR}" for t in odd)
     monkeypatch.setattr(montecarlo, "SOLVE_CHUNK_BYTES", 3 * 3 * 3 * 8)

@@ -10,7 +10,6 @@ import concentrators as C
 from concentrators import montecarlo
 from concentrators.montecarlo import (
     _normalized_coset_matrix,
-    _sample_indices,
     cayley_operator,
     enumerate_cayley_tail,
     enumerate_coset_tail,
@@ -18,7 +17,7 @@ from concentrators.montecarlo import (
     run_cayley_trials,
     run_coset_trials,
 )
-from concentrators.permgroup import closure, from_cycles
+from concentrators.permgroup import closure, from_cycles, seeded_rng
 from concentrators.spectral import SpectralError, jacobi_eigensystem, sym_eigensystems
 
 
@@ -89,7 +88,8 @@ def _check_against_jacobi(batch, G, build):
     assert len(batch.mu_values) == batch.trials
     expected_violating = []
     for t, mu in enumerate(batch.mu_values):
-        S = tuple(G.elements[i] for i in _sample_indices(len(G), batch.k, batch.seed, t))
+        draw = seeded_rng(batch.seed, t).integers(0, len(G), size=batch.k)
+        S = tuple(G.elements[i] for i in draw)
         mu_j, top_j = _jacobi_mu_top(build(S))
         assert abs(mu - mu_j) <= 1e-12, t
         if batch.top_values:
@@ -171,7 +171,7 @@ def test_arbiter_solves_only_near_threshold_trials(s4, monkeypatch):
     batch = run_cayley_trials(s4, k=40, eps=0.5, trials=20, seed=3)
     near = []
     for t, mu in enumerate(batch.mu_values):
-        S = tuple(s4.elements[i] for i in _sample_indices(len(s4), 40, 3, t))
+        S = tuple(s4.elements[i] for i in seeded_rng(3, t).integers(0, len(s4), size=40))
         M = cayley_operator(s4, S)
         if _in_band(M, mu, batch.threshold):
             near.append(M)

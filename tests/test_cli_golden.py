@@ -69,6 +69,10 @@ CASES = [
     ("montecarlo-thm18", 0, ["montecarlo", "--group", "s3.txt", "--L", "swap01.txt",
                              "--N", "a3.txt", "--k", "6", "--eps", "0.4", "--trials", "10",
                              "--seed", "11", "--variant", "thm18"]),
+    # 2^70: a three-word seed, so each trial's SeedSequence entropy has four words.
+    ("montecarlo-seed-2p70", 0, ["montecarlo", "--group", "s3.txt", "--k", "5", "--eps", "0.5",
+                                 "--trials", "9", "--seed", "1180591620717411303424",
+                                 "--variant", "thm14"]),
     ("pipeline63-s3", 0, ["pipeline63", "--group", "s3.txt", "--L", "swap01.txt",
                           "--S", "s3.txt"]),
 ]
