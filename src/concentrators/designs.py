@@ -25,15 +25,24 @@ from .permgroup import (
 from .spectral import ramanujan_check, sym_eigenvalues
 
 DEFAULT_VALIDATE_CAP = 10**7
+# Block t-subsets ranked per pass of ``validate_design``, which bounds its
+# temporaries on designs with many large blocks.
+_RANK_BATCH = 1 << 18
 
 
 class DesignError(ValueError):
     """A design precondition or internal consistency check failed."""
 
 
+def _check_strength(t: int, gamma: int) -> None:
+    if t < 1 or gamma < 1:
+        raise DesignError(f"need t >= 1 and gamma >= 1, got t={t}, gamma={gamma}")
+
+
 @dataclass(frozen=True)
 class Design:
-    """v points, equal-size blocks, claimed strength t and t-wise count gamma."""
+    """v points, equal-size blocks, claimed strength t and t-wise count gamma,
+    both at least 1."""
 
     v: int
     blocks: tuple[tuple[int, ...], ...]
@@ -51,6 +60,7 @@ class Design:
                 raise DesignError(f"block {b} is not a {k}-subset")
             if b[0] < 0 or b[-1] >= self.v:
                 raise DesignError(f"block {b} has points outside 0..{self.v - 1}")
+        _check_strength(self.t, self.gamma)
         if not self.t <= k < self.v:
             raise DesignError(f"need t <= k < v, got t={self.t}, k={k}, v={self.v}")
 
@@ -136,26 +146,50 @@ def validate_design(
     """Exhaustively check that every t-subset lies in exactly gamma blocks.
 
     Returns (True, None) or (False, (witness_subset, observed_count)); the
-    witness is the lexicographically first failing t-subset.
+    witness is the lexicographically first failing t-subset.  Every block's
+    t-subsets are ranked in lexicographic order and counted by one bincount
+    over all C(v, t) ranks, so the least failing rank is the witness.
     """
     t = design.t if t is None else t
     gamma = design.gamma if gamma is None else gamma
+    _check_strength(t, gamma)
     if not t <= design.k < design.v:
         raise DesignError(f"need t <= k < v, got t={t}")
     total = math.comb(design.v, t)
     if total > cap:
         raise DesignError(f"C({design.v},{t}) = {total} exceeds enumeration cap {cap}")
-    counts: dict[tuple[int, ...], int] = {}
-    for block in design.blocks:
-        for sub in itertools.combinations(block, t):
-            counts[sub] = counts.get(sub, 0) + 1
-    if len(counts) == total and all(c == gamma for c in counts.values()):
+    # The sorted subset c_0 < ... < c_{t-1} has lexicographic rank
+    # total - 1 - sum_i C(v-1-c_i, t-i).  binom[j - 1][x] = C(x, j) for every
+    # x <= v-1-t+j that member t-j can give, all at most total.
+    binom = [np.arange(design.v - t + 1, dtype=np.int64)]
+    for _ in range(t - 1):
+        binom.append(np.concatenate(([0], np.cumsum(binom[-1]))))
+    combos = itertools.combinations(range(design.k), t)
+    where = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp).reshape(-1, t)
+    flipped = design.v - 1 - np.array(design.blocks, dtype=np.int64)
+    counts = np.zeros(total, dtype=np.int64)
+    step = max(1, _RANK_BATCH // len(where))
+    for s in range(0, design.b, step):
+        subs = flipped[s : s + step, where]
+        ranks = total - 1 - sum(binom[t - 1 - i][subs[..., i]] for i in range(t))
+        counts += np.bincount(ranks.ravel(), minlength=total)
+    bad = np.flatnonzero(counts != gamma)
+    if not len(bad):
         return True, None
-    for sub in itertools.combinations(range(design.v), t):
-        c = counts.get(sub, 0)
-        if c != gamma:
-            return False, (sub, c)
-    return True, None
+    return False, (_lex_unrank(design.v, t, int(bad[0])), int(counts[bad[0]]))
+
+
+def _lex_unrank(v: int, t: int, rank: int) -> tuple[int, ...]:
+    """The t-subset of 0..v-1 with the given lexicographic rank."""
+    out, x = [], 0
+    for left in range(t, 0, -1):
+        # C(v-1-x, left-1) subsets continue the prefix with x.
+        while rank >= (n := math.comb(v - 1 - x, left - 1)):
+            rank -= n
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
 
 
 def contraction(design: Design, p: int | None = None) -> Design:

@@ -9,8 +9,10 @@ A ``FiniteGroup`` holds its elements as one read-only ``(order, degree)``
 integer array ``rows`` (``uint8`` up to degree 256, wider beyond), plus one
 sorted key per row (``_keys``: the images packed 4 bits a point into a
 ``uint64`` up to degree 16, the raw row bytes above), so ``lookup`` maps a
-whole array of image rows to element indices with one ``np.searchsorted``.
-Closure, cosets and conjugacy classes work level by level on these arrays.
+whole array of image rows to element indices with one ``np.searchsorted``,
+made over the argsorted needles when there are many.  Closure and cosets work
+level by level on these arrays; conjugacy classes are the orbits of one table
+of the generators' conjugation action on element indices.
 ``G.elements`` is a lazy read-only sequence that builds a ``Permutation`` only
 for the element accessed, and ``G.index`` a read-only mapping from image
 tuples to indices.
@@ -223,6 +225,14 @@ class _Index(Mapping):
         return len(self._group.rows)
 
 
+# ``_find`` sorts its needles from this many on, in groups of at least
+# _SORTED_FIND_ORDER elements.  Fewer needles do not repay the argsort; the
+# keys of a smaller group stay in cache, so its random searches save little,
+# and the sort's 16 extra bytes a needle raise the peak of large stacks.
+_SORTED_FIND_NEEDLES = 1 << 10
+_SORTED_FIND_ORDER = 1 << 8
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite permutation group with a fixed, fully enumerated element order.
@@ -287,7 +297,15 @@ class FiniteGroup:
             ok = np.all((flat >= 0) & (flat < self.degree), axis=1)
             flat = np.where(ok[:, None], flat, 0).astype(self.rows.dtype)
         keys = _keys(flat)
-        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self) - 1)
+        if len(keys) >= _SORTED_FIND_NEEDLES and len(self) >= _SORTED_FIND_ORDER:
+            # Sorted needles walk the sorted keys one way instead of starting
+            # each binary search cold; scatter the positions back.
+            order = np.argsort(keys)
+            pos = np.empty(len(keys), dtype=np.intp)
+            pos[order] = np.searchsorted(self._sorted_keys, keys[order])
+        else:
+            pos = np.searchsorted(self._sorted_keys, keys)
+        pos = np.minimum(pos, len(self) - 1)
         found = (self._sorted_keys[pos] == keys) & ok
         shape = rows.shape[:-1]
         return self._sorted_index[pos].reshape(shape), found.reshape(shape)
@@ -352,7 +370,7 @@ def closure(
     seen = _keys(frontier)  # sorted keys of every element so far
     total = 1
     while len(frontier) and len(gens):
-        cand = gens[:, frontier].transpose(1, 0, 2).reshape(-1, degree)
+        cand = np.take(gens, frontier, axis=1).transpose(1, 0, 2).reshape(-1, degree)
         keys = _keys(cand)
         # First occurrence of each distinct key, without a stable sort.
         order = np.argsort(keys)
@@ -433,39 +451,43 @@ def right_cosets(G: FiniteGroup, H: FiniteGroup) -> CosetPartition:
     )
 
 
+# Elements conjugated per lookup, which bounds the conjugation table's temporaries.
+_CONJ_BATCH_ROWS = 1 << 14
+
+
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes as sorted index tuples, ordered by least member.
 
-    Each class is the orbit of its least member under conjugation by the
-    generators, grown a whole frontier at a time: one lookup finds every
-    generator's conjugates of the frontier, and the distinct unassigned ones
-    are the next frontier.
+    The generators' conjugation action on element indices is tabulated once,
+    ``conj[j, i]`` = index of ``g_j x_i g_j^-1``, by batched lookups.  The
+    classes are its orbits, found by min-label propagation on that table with
+    pointer jumping: every element's label ends as its orbit's least member.
     """
     gens = _perm_rows(G.generators, G.degree)
-    conjugators = list(zip(gens, inverse_rows(gens)))
-    assigned = np.zeros(len(G), dtype=bool)
-    slot = np.empty(len(G), dtype=np.intp)
-    classes = []
-    start = 0
-    while not assigned[start:].all():
-        start += int(np.argmin(assigned[start:]))  # least unassigned element
-        assigned[start] = True
-        orbit = [np.array([start])]
-        frontier = orbit[0]
-        while len(frontier) and conjugators:
-            x = G.rows[frontier]
-            # g x g^-1 maps p to g(x(g^-1(p))).
-            y = G.lookup(np.stack([g[x[:, ginv]] for g, ginv in conjugators])).ravel()
-            y = y[~assigned[y]]
-            # One position per distinct element: the one whose write to its
-            # slot was kept, whichever write that was.
-            pos = np.arange(len(y))
-            slot[y] = pos
-            frontier = y[slot[y] == pos]
-            assigned[frontier] = True
-            orbit.append(frontier)
-        classes.append(tuple(np.sort(np.concatenate(orbit)).tolist()))
-    return tuple(classes)
+    if not len(gens):
+        return tuple((i,) for i in range(len(G)))
+    ginvs = inverse_rows(gens)
+    conj = np.empty((len(gens), len(G)), dtype=np.intp)
+    for s in range(0, len(G), _CONJ_BATCH_ROWS):
+        x = G.rows[s : s + _CONJ_BATCH_ROWS]
+        # g x g^-1 maps p to g(x(g^-1(p))).
+        y = np.stack([g[x[:, ginv]] for g, ginv in zip(gens, ginvs)])
+        conj[:, s : s + len(x)] = G.lookup(y)
+    # Each label stays a member of its element's orbit and only decreases, so
+    # the fixed point is the orbit minimum.
+    label = np.arange(len(G))
+    while True:
+        new = np.minimum(label, label[conj].min(axis=0))
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    # Sorting label * |G| + index orders each class's members as well.
+    order = np.argsort(label * len(G) + np.arange(len(G)))
+    label = label[order]
+    bounds = [0, *(np.flatnonzero(label[1:] != label[:-1]) + 1).tolist(), len(G)]
+    members = order.tolist()
+    return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def orbit_of_set(

@@ -9,10 +9,13 @@ walks every mask of up to 20 inputs in numpy, one mask per array element,
 because a Python loop over 2^20 masks is too slow for a test.
 ``parse_graph_text`` is the graph file reader that writes one matrix cell per
 edge line, the reference of ``test_fileio.py``; it shares only the graph
-classes with the reader it checks.
+classes with the reader it checks.  ``validate_design`` is the design
+check that counts every block's t-subsets in a dict, the reference of
+``test_designs.py``.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -351,3 +354,21 @@ def parse_graph_text(text):
         if head[0] == "graph":
             mat[j, i] = mult
     return Graph(mat) if head[0] == "graph" else BipartiteGraph(mat)
+
+
+def validate_design(design, t, gamma):
+    """(ok, witness) for "every t-subset lies in exactly gamma blocks": a dict
+    count of every block's t-subsets, then a lexicographic walk over all
+    t-subsets for the first whose count is not gamma."""
+    total = math.comb(design.v, t)
+    counts = {}
+    for block in design.blocks:
+        for sub in itertools.combinations(block, t):
+            counts[sub] = counts.get(sub, 0) + 1
+    if len(counts) == total and all(c == gamma for c in counts.values()):
+        return True, None
+    for sub in itertools.combinations(range(design.v), t):
+        c = counts.get(sub, 0)
+        if c != gamma:
+            return False, (sub, c)
+    return True, None

@@ -72,6 +72,16 @@ def test_dim_sum_values(s3, s4, z6, s3_table, s4_table):
     assert dim_sum_D(z6) == 6
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_dim_sum_D_counts_involutions_of_symmetric_groups(n):
+    # Every irreducible of S_n is real, so by Frobenius-Schur the degrees sum
+    # to #{g : g^2 = 1}, counted here from the rows without a character table.
+    G = C.symmetric_group(n)
+    rows = G.rows.astype(np.intp)
+    squares = np.take_along_axis(rows, rows, axis=1)
+    assert dim_sum_D(G) == int((squares == np.arange(n)).all(axis=1).sum())
+
+
 def test_dim_sum_bounds(s4, s4_table):
     D = dim_sum_D(s4, s4_table)
     assert math.sqrt(24) < D <= 24

@@ -116,6 +116,21 @@ def test_design_file_input_validation(capsys, tmp_path):
     assert "witness" in payload
 
 
+@pytest.mark.parametrize("t, gamma", [(2, -2), (2, 0), (-1, 1), (0, 1)],
+                         ids=["gamma-2", "gamma0", "t-1", "t0"])
+def test_design_strength_and_count_below_one_exit_2(capsys, tmp_path, t, gamma):
+    # Before, gamma -2 printed negative BIBD counts and t -1 failed inside
+    # math.comb; both are usage errors.
+    path = tmp_path / "d.txt"
+    path.write_text("design 6 4\n0 1 2\n0 3 4\n1 3 5\n2 4 5\n")
+    argv = ["design", "--in", str(path), "--t", str(t), "--gamma", str(gamma), "--validate"]
+    assert _main_exit(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: need t >= 1 and gamma >= 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_chartable(capsys, s3_file, swap_file, a3_file):
     code, out = run(
         capsys,

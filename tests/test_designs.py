@@ -1,10 +1,14 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concentrators as C
+from concentrators import designs
 from concentrators.designs import (
     DISPUTED_REFERENCE_TUPLES,
     Design,
@@ -28,6 +32,8 @@ from concentrators.permgroup import (
     right_cosets,
     compose,
 )
+
+import oracles
 
 
 def test_validate_d12(mathieu_chain):
@@ -251,3 +257,69 @@ def test_contracting_valid_design_stays_valid(mathieu_chain, witt24):
             cur = contraction(cur)
             ok, _ = validate_design(cur)
             assert ok
+
+
+# -- the ranked count against the dict-count oracle -----------------------------
+
+def _mutated(d):
+    """d with its last block replaced by the first block with its largest
+    point swapped for the least point outside it: t-subsets shared with the
+    first block count twice, and the dropped block's own ones go missing."""
+    first = d.blocks[0]
+    spare = next(x for x in range(d.v) if x not in first)
+    moved = (*first[:-1], spare)
+    return Design(v=d.v, blocks=(*d.blocks[:-1], moved), t=d.t, gamma=d.gamma)
+
+
+def test_validate_matches_dict_oracle(mathieu_chain, witt24):
+    for d in (*mathieu_chain, witt24):
+        for case in (d, _mutated(d)):
+            assert validate_design(case) == oracles.validate_design(case, case.t, case.gamma)
+        # The mutant has a t-subset in two blocks and one in none.
+        counts = Counter(s for b in _mutated(d).blocks for s in itertools.combinations(b, d.t))
+        assert max(counts.values()) == 2 and len(counts) < math.comb(d.v, d.t)
+
+
+def test_validate_in_small_batches_matches_dict_oracle(monkeypatch, mathieu_chain, witt24):
+    # 40 subsets a pass: several blocks a pass on the 12-point chain, one
+    # block (56 subsets) a pass on the 24-point design.
+    monkeypatch.setattr(designs, "_RANK_BATCH", 40)
+    for d in (*mathieu_chain, _mutated(mathieu_chain[0]), _mutated(witt24)):
+        assert validate_design(d) == oracles.validate_design(d, d.t, d.gamma)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_validate_random_designs_match_dict_oracle(data):
+    v = data.draw(st.integers(2, 9))
+    k = data.draw(st.integers(1, v - 1))
+    t = data.draw(st.integers(1, k))
+    blocks = data.draw(st.lists(st.permutations(range(v)).map(lambda p: p[:k]), min_size=1,
+                                max_size=12))
+    d = Design(v=v, blocks=tuple(blocks), t=t, gamma=data.draw(st.integers(1, 3)))
+    assert validate_design(d) == oracles.validate_design(d, t, d.gamma)
+
+
+@pytest.mark.parametrize("t, gamma", [(2, 1), (2, 30), (3, 12), (4, 4), (1, 66), (1, 5)])
+def test_validate_override_matches_dict_oracle(mathieu_chain, t, gamma):
+    d12 = mathieu_chain[0]
+    assert validate_design(d12, t=t, gamma=gamma) == oracles.validate_design(d12, t, gamma)
+
+
+def test_validate_witness_is_lexicographically_first():
+    # Blocks are pairs: every pair once, except {0, 4} (in no block) and
+    # {1, 2} (in two).  {0, 4} comes first in lexicographic order, {1, 2} has
+    # the smaller colexicographic rank.
+    pairs = [p for p in itertools.combinations(range(5), 2) if p != (0, 4)]
+    d = Design(v=5, blocks=(*pairs, (1, 2)), t=2, gamma=1)
+    expected = oracles.validate_design(d, 2, 1)
+    assert expected[1][0] == (0, 4)
+    assert validate_design(d, gamma=1) == expected
+
+
+@pytest.mark.parametrize("t, gamma", [(0, 1), (-1, 1), (2, 0), (2, -2)])
+def test_strength_and_count_must_be_positive(mathieu_chain, t, gamma):
+    with pytest.raises(DesignError, match="t >= 1 and gamma >= 1"):
+        Design(v=6, blocks=((0, 1, 2),), t=t, gamma=gamma)
+    with pytest.raises(DesignError, match="t >= 1 and gamma >= 1"):
+        validate_design(mathieu_chain[0], t=t, gamma=gamma)

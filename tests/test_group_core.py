@@ -1,5 +1,6 @@
 """Differential tests: the array-backed group core against per-element oracles."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
+from concentrators import permgroup
 from concentrators.characters import _class_matrices
 from concentrators.montecarlo import cayley_operator
 from concentrators.permgroup import (
@@ -325,3 +327,84 @@ def test_closure_peak_memory_on_m12():
         tracemalloc.stop()
     assert len(G) == 95040
     assert peak < 8
+
+
+# -- lookups on both sides of the sorted-needle threshold ------------------------
+
+def _needles(G, count, seed):
+    """``count`` int64 rows mixing elements of G, bijections outside G (when
+    G is not the whole symmetric group) and rows with a point out of range."""
+    rng = np.random.default_rng(seed)
+    rows = G.rows[rng.integers(0, len(G), count)].astype(np.int64)
+    kind = rng.integers(0, 3, count)
+    outside = kind == 1
+    rows[outside] = rows[outside][:, [1, 0, *range(2, G.degree)]]
+    bad = np.flatnonzero(kind == 2)
+    rows[bad, rng.integers(0, G.degree, len(bad))] = rng.choice([-1, G.degree, 255, 300], len(bad))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "G",
+    [C.symmetric_group(4), C.symmetric_group(5), C.alternating_group(6),
+     closure(12, MATHIEU12_GENERATORS[:5]),
+     closure(17, [from_cycles([(0, 16)], 17), from_cycles([(12, 13, 14, 15, 16)], 17)])],
+    ids=["S4", "S5", "A6", "M11", "S6-deg17"],
+)
+def test_find_agrees_on_both_sides_of_the_sort_threshold(G):
+    # S4 and S5 have fewer than _SORTED_FIND_ORDER elements, so only A6, M11
+    # and the row-byte keys of S6 on 17 points take the sorted path, from
+    # _SORTED_FIND_NEEDLES needles on.
+    index = {p.images: i for i, p in enumerate(G.elements)}
+    n0 = permgroup._SORTED_FIND_NEEDLES
+    for count in (n0 - 1, n0, 4 * n0):
+        rows = _needles(G, count, seed=count)
+        in_range = ((rows >= 0) & (rows < 256)).all(axis=1)
+        for variant in (rows, rows.astype(np.int16), rows[in_range].astype(np.uint8),
+                        rows[in_range].astype(np.uint16)):
+            want = [index.get(tuple(r)) for r in variant.tolist()]
+            idx, found = G._find(variant)
+            assert found.tolist() == [w is not None for w in want]
+            assert idx[found].tolist() == [w for w in want if w is not None]
+        idx, found = G._find(rows)
+        assert 0 < found.sum() < count
+        # A 3-D (..., degree) input gives the same answers in its leading shape.
+        even = count - count % 2
+        idx3, found3 = G._find(rows[:even].reshape(2, -1, G.degree))
+        assert idx3.shape == found3.shape == (2, even // 2)
+        assert np.array_equal(found3.ravel(), found[:even])
+        assert np.array_equal(idx3.ravel()[found[:even]], idx[:even][found[:even]])
+        # lookup returns the same indices when every row is found, and names
+        # the first row that is not.
+        hits = idx[found].tolist()
+        assert G.lookup(rows[found]).tolist() == hits
+        assert G.lookup(rows[found].reshape(1, -1, G.degree)).tolist() == [hits]
+        first_miss = tuple(rows[np.argmin(found)].tolist())
+        with pytest.raises(GroupError, match=re.escape(repr(first_miss))):
+            G.lookup(rows)
+
+
+@pytest.fixture(scope="module")
+def m12_classes(m12):
+    return conjugacy_classes(m12)
+
+
+def test_m12_classes_partition_the_group(m12, m12_classes):
+    assert len(m12_classes) == 15
+    members = np.concatenate([np.array(c) for c in m12_classes])
+    assert np.array_equal(np.sort(members), np.arange(len(m12)))
+    assert [c[0] for c in m12_classes] == sorted(c[0] for c in m12_classes)
+    assert all(list(c) == sorted(c) for c in m12_classes)
+    assert all(95040 % len(c) == 0 for c in m12_classes)
+
+
+def test_m12_classes_are_closed_under_conjugation(m12, m12_classes):
+    class_of = np.empty(len(m12), dtype=np.intp)
+    for c, members in enumerate(m12_classes):
+        class_of[list(members)] = c
+    x = m12.rows.astype(np.intp)
+    for g in m12.generators:
+        g = np.array(g.images)
+        ginv = np.argsort(g)
+        # g x g^-1 maps p to g(x(g^-1(p))).
+        assert np.array_equal(class_of[m12.lookup(g[x[:, ginv]])], class_of)
