@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permgroup import FiniteGroup, conjugacy_classes, inverse_rows, is_subgroup, seeded_rng
+from .permgroup import (
+    _CONJ_BATCH_ROWS,
+    FiniteGroup,
+    conjugacy_classes,
+    inverse_rows,
+    is_subgroup,
+    seeded_rng,
+)
 
 MAX_CLASSES = 60
 
@@ -44,30 +51,31 @@ class CharacterTable:
 
 def _class_structure(G: FiniteGroup):
     classes = conjugacy_classes(G)
-    class_of = [0] * len(G)
-    for ci, members in enumerate(classes):
-        for m in members:
-            class_of[m] = ci
-    return classes, tuple(class_of)
+    class_of = np.empty(len(G), dtype=np.intp)
+    class_of[np.concatenate(classes)] = np.repeat(np.arange(len(classes)), list(map(len, classes)))
+    return classes, tuple(class_of.tolist())
 
 
 def _class_matrices(G: FiniteGroup, classes, class_of) -> np.ndarray:
     """mats[i][k][j] = #{x in C_i : x^-1 * z_k in C_j} for a fixed z_k per class.
 
     These are the matrices of multiplication by the class sums in the
-    class-sum basis; they commute pairwise.
+    class-sum basis; they commute pairwise.  The products x^-1 * z_k of all
+    classes are looked up together, in batches of at most _CONJ_BATCH_ROWS.
     """
     r = len(classes)
     class_of = np.asarray(class_of)
     inv_rows = inverse_rows(G.rows)
-    mats = np.zeros((r, r, r))
-    for k, members in enumerate(classes):
-        # x^-1 * z maps p to x^-1(z(p)), for every x at once.
-        y = G.lookup(inv_rows[:, G.rows[members[0]]])
-        pairs = np.bincount(class_of * r + class_of[y], minlength=r * r)
-        mats[:, k, :] = pairs.reshape(r, r)
+    z = G.rows[[members[0] for members in classes]]
+    counts = np.zeros(r**3, dtype=np.int64)
+    step = max(1, _CONJ_BATCH_ROWS // r)
+    for s in range(0, len(G), step):
+        # x^-1 * z_k maps p to x^-1(z_k(p)): y[x, k] for every x of the batch.
+        y = G.lookup(inv_rows[s : s + step][:, z])
+        cells = (class_of[s : s + step, None] * r + np.arange(r)) * r + class_of[y]
+        counts += np.bincount(cells.ravel(), minlength=r**3)
     # Reorient so column j of mats[i] acts on the coefficient of class j.
-    return mats.transpose(0, 2, 1)
+    return counts.reshape(r, r, r).transpose(0, 2, 1).astype(float)
 
 
 def character_table(

@@ -90,8 +90,28 @@ def _report_dict(r: verify.ConcentrationReport) -> dict:
     }
 
 
+# The options each construct kind reads, checked before any file is read.
+_CONSTRUCT_NEEDS = {
+    "cayley": ("group", "S"),
+    "coset": ("group", "H", "S"),
+    "bicoset": ("group", "L", "N", "S"),
+    "double-cover": ("graph",),
+    "gq22": (),
+}
+
+
+def _load_subgroups(L_path: str, N_path: str):
+    """The subgroups named by ``--L`` and ``--N``: one load, and one object
+    for both, when they name the same path."""
+    L = fileio.load_group(L_path)
+    return L, L if N_path == L_path else fileio.load_group(N_path)
+
+
 def _cmd_construct(args) -> int:
     kind = args.kind
+    missing = [f"--{name}" for name in _CONSTRUCT_NEEDS.get(kind, ()) if not getattr(args, name)]
+    if missing:
+        raise fileio.FormatError(f"construct --kind {kind} needs {', '.join(missing)}")
     if kind == "gq22":
         out_graph = graphs.gq22_incidence()
     elif kind == "double-cover":
@@ -108,8 +128,7 @@ def _cmd_construct(args) -> int:
             H = fileio.load_group(args.H)
             out_graph = graphs.coset_graph(G, H, S)
         elif kind == "bicoset":
-            L = fileio.load_group(args.L)
-            N = fileio.load_group(args.N)
+            L, N = _load_subgroups(args.L, args.N)
             out_graph = graphs.bicoset_graph(G, L, N, S, simple=args.simple)
         else:
             raise fileio.FormatError(f"unknown construct kind {kind!r}")
@@ -322,8 +341,7 @@ def _cmd_montecarlo(args) -> int:
     else:
         if not (args.L and args.N):
             raise fileio.FormatError("thm18 needs --L and --N")
-        L = fileio.load_group(args.L)
-        N = fileio.load_group(args.N)
+        L, N = _load_subgroups(args.L, args.N)
         batch = montecarlo.run_bicoset_trials(
             G, L, N, args.k, args.eps, args.trials, args.seed
         )

@@ -8,6 +8,7 @@ repeated contraction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -247,21 +248,27 @@ def golay_generator_matrix() -> np.ndarray:
     return gen
 
 
+@functools.cache
 def golay_codewords() -> np.ndarray:
-    """All 4096 codewords of the extended binary Golay code as a 4096x24 array."""
+    """All 4096 codewords of the extended binary Golay code as a 4096x24 array.
+
+    Built once per process; the array is read-only."""
     gen = golay_generator_matrix()
     combos = ((np.arange(4096)[:, None] >> np.arange(12)) & 1).astype(np.int64)
-    return combos @ gen % 2
+    words = combos @ gen % 2
+    words.setflags(write=False)
+    return words
 
 
 GOLAY_WEIGHT_DISTRIBUTION = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
 
 
+@functools.cache
 def golay_witt_design() -> Design:
     """The 5-(24,8,1) Steiner system: supports of the 759 weight-8 codewords.
 
     Aborts if the code's weight distribution differs from the expected
-    {0:1, 8:759, 12:2576, 16:759, 24:1}.
+    {0:1, 8:759, 12:2576, 16:759, 24:1}.  Built once per process.
     """
     words = golay_codewords()
     weights = words.sum(axis=1)
@@ -274,12 +281,14 @@ def golay_witt_design() -> Design:
 
 # -- the 12-point chain from a block orbit ------------------------------------
 
+@functools.cache
 def mathieu12_designs() -> tuple[Design, Design, Design, Design]:
     """The 5-(12,6,1) design as a block orbit, then three contractions.
 
     Blocks are the orbit of the base hexad under the 12-point generators; the
     chain contracts at the largest point each time, giving 4-(11,5,1),
-    3-(10,4,1) and 2-(9,3,1).  Every member is validated before return.
+    3-(10,4,1) and 2-(9,3,1).  Every member is validated before return, once
+    per process: the chain is built on the first call and reused.
     """
     blocks = orbit_of_set(MATHIEU12_GENERATORS, MATHIEU12_BASE_BLOCK)
     if len(blocks) != 132:

@@ -172,12 +172,12 @@ def coset_graph(G: FiniteGroup, H: FiniteGroup, S: Sequence[Permutation]) -> Gra
 class BicosetGraphs:
     """The bi-coset graphs on [G:L] x [G:N], built a stack of connection
     multisets at a time.  Both coset partitions are computed once, when the
-    object is made."""
+    object is made, and are one partition when N is L."""
 
     def __init__(self, G: FiniteGroup, L: FiniteGroup, N: FiniteGroup) -> None:
         self.G = G
         self.inputs = right_cosets(G, L)
-        self.outputs = right_cosets(G, N)
+        self.outputs = self.inputs if N is L else right_cosets(G, N)
         self._in_reps = G.rows[[c[0] for c in self.inputs.cosets]]
         self._out_coset_of = np.asarray(self.outputs.coset_of)
 

@@ -165,6 +165,31 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return out.view("<u8")[:, 0]
 
 
+# Points covered by one word of ``_hits_every_point``.
+_WORD_BITS = 64
+
+
+def _hits_every_point(rows: np.ndarray, degree: int) -> bool:
+    """True when every row of an ``(n, degree)`` array of points
+    0..degree-1 hits all of them, so that each row is a bijection.
+
+    Each row is one ``bitwise_or`` of ``1 << image`` in the smallest unsigned
+    word that holds ``degree`` bits, compared with the full mask.  Above 64
+    points each 64-point word takes one such pass: the images below the word
+    wrap to shifts of at least 64 and the images above it shift that far
+    anyway, and numpy's shift by the word width or more gives 0.  The shifts
+    are laid out point-major, so the OR runs over whole columns.
+    """
+    word = np.min_scalar_type((1 << min(degree, _WORD_BITS)) - 1)
+    for lo in range(0, degree, _WORD_BITS):
+        shift = rows.T - rows.dtype.type(lo)
+        bits = np.left_shift(word.type(1), shift, dtype=word, order="C")
+        full = word.type((1 << min(degree - lo, _WORD_BITS)) - 1)
+        if not (np.bitwise_or.reduce(bits, axis=0) == full).all():
+            return False
+    return True
+
+
 def inverse_rows(rows: np.ndarray) -> np.ndarray:
     """Image rows of the inverse permutations, in the same dtype."""
     return np.argsort(rows, axis=-1).astype(rows.dtype)
@@ -257,11 +282,7 @@ class FiniteGroup:
             raise GroupError(f"rows must be (order, {self.degree}) of {dtype}")
         # One batch check replaces a Permutation validation per element: every
         # point in range, and every point hit in every row.
-        if rows.size and rows.max() >= self.degree:
-            raise GroupError("group rows are not all bijections")
-        hit = np.zeros(rows.shape, dtype=bool)
-        hit[np.arange(len(rows))[:, None], rows] = True
-        if not hit.all():
+        if rows.size and rows.max() >= self.degree or not _hits_every_point(rows, self.degree):
             raise GroupError("group rows are not all bijections")
         keys = _keys(rows)
         order = np.argsort(keys)

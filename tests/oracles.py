@@ -11,7 +11,9 @@ because a Python loop over 2^20 masks is too slow for a test.
 edge line, the reference of ``test_fileio.py``; it shares only the graph
 classes with the reader it checks.  ``validate_design`` is the design
 check that counts every block's t-subsets in a dict, the reference of
-``test_designs.py``.
+``test_designs.py``.  ``group_row_error`` is the check of a group's rows that
+scatters a boolean per (row, point), the reference of the bitwise check in
+``FiniteGroup``.
 """
 
 import itertools
@@ -372,3 +374,21 @@ def validate_design(design, t, gamma):
         if c != gamma:
             return False, (sub, c)
     return True, None
+
+
+def group_row_error(rows, degree):
+    """The message ``FiniteGroup`` raises for these image rows, or None.
+
+    Every point must be in range and hit in every row: one boolean scattered
+    per (row, point) of an ``(order, degree)`` array.  Then no row may repeat,
+    checked by a set of image tuples."""
+    rows = np.asarray(rows)
+    if rows.size and rows.max() >= degree:
+        return "group rows are not all bijections"
+    hit = np.zeros(rows.shape, dtype=bool)
+    hit[np.arange(len(rows))[:, None], rows] = True
+    if not hit.all():
+        return "group rows are not all bijections"
+    if len(set(map(tuple, rows.tolist()))) != len(rows):
+        return "group rows repeat an element"
+    return None

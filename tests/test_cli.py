@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
+from concentrators import fileio
 from concentrators.cli import _canonical_json, main
 from concentrators.fileio import save_graph
 
@@ -759,3 +760,77 @@ def test_non_finite_payload_exits_2(capsys, monkeypatch, c4_file, bad):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+# The options each construct kind needs, as (kind, needed options); every other
+# option of the kind is given.
+_CONSTRUCT_NEEDS = [
+    ("cayley", ["--group", "--S"]),
+    ("coset", ["--group", "--H", "--S"]),
+    ("bicoset", ["--group", "--L", "--N", "--S"]),
+    ("double-cover", ["--graph"]),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, option",
+    [(kind, option) for kind, needs in _CONSTRUCT_NEEDS for option in needs],
+    ids=[f"{kind}-without-{option[2:]}" for kind, needs in _CONSTRUCT_NEEDS for option in needs],
+)
+def test_construct_without_a_needed_option_exits_2(capsys, tmp_path, kind, option):
+    # The other options name files that do not exist, so an error about a
+    # missing file would mean that a file was read before the check.
+    needs = dict(_CONSTRUCT_NEEDS)[kind]
+    argv = ["construct", "--kind", kind, "--out", str(tmp_path / "out.txt")]
+    for other in needs:
+        if other != option:
+            argv += [other, str(tmp_path / f"absent{other[2:]}.txt")]
+    code = _main_exit(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: construct --kind {kind} needs {option}\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_construct_names_every_missing_option(capsys, tmp_path):
+    code = _main_exit(["construct", "--kind", "bicoset", "--L", str(tmp_path / "absent.txt"),
+                       "--out", str(tmp_path / "out.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: construct --kind bicoset needs --group, --N, --S\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["construct", "--kind", "bicoset", "--S", "{s3}"],
+        ["montecarlo", "--variant", "thm18", "--k", "4", "--eps", "0.4", "--trials", "12",
+         "--seed", "5"],
+    ],
+    ids=["construct-bicoset", "montecarlo-thm18"],
+)
+def test_one_subgroup_file_for_l_and_n_matches_two_copies(
+    capsys, monkeypatch, tmp_path, s3_file, command
+):
+    # Both copies have the same file name, so the subgroup's label is the same.
+    loads = []
+    load_group = fileio.load_group
+    monkeypatch.setattr(fileio, "load_group", lambda path: loads.append(path) or load_group(path))
+    copies = []
+    for folder in ("one", "two"):
+        (tmp_path / folder).mkdir()
+        copies.append(tmp_path / folder / "swap01.txt")
+        copies[-1].write_text("degree 3\n(0 1)\n")
+    out = tmp_path / "out.txt"
+    runs = []
+    for L, N in ((copies[0], copies[0]), (copies[0], copies[1])):
+        argv = [*(arg.format(s3=s3_file) for arg in command), "--group", s3_file,
+                "--L", str(L), "--N", str(N), "--out", str(out)]
+        loads.clear()
+        code = _main_exit(argv)
+        runs.append((code, capsys.readouterr().out, out.read_bytes()))
+        out.unlink()
+        # the group file, then each distinct subgroup path once
+        assert loads == [s3_file, *dict.fromkeys([str(L), str(N)])]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0

@@ -31,6 +31,10 @@ CASES = [
     ("construct-bicoset", 0, ["construct", "--kind", "bicoset", "--group", "s3.txt",
                               "--L", "swap01.txt", "--N", "a3.txt", "--S", "s3.txt",
                               "--out", "bc.txt"]),
+    # One file for both subgroups: loaded once, one coset partition for both sides.
+    ("construct-bicoset-same-LN", 0, ["construct", "--kind", "bicoset", "--group", "s3.txt",
+                                      "--L", "swap01.txt", "--N", "swap01.txt",
+                                      "--S", "s3.txt", "--out", "bc.txt"]),
     # A non-ASCII path puts a \u escape into "out".
     ("construct-double-cover", 0, ["construct", "--kind", "double-cover", "--graph", "c5.txt",
                                    "--out", "cov\u00e9r.txt"]),

@@ -323,3 +323,13 @@ def test_strength_and_count_must_be_positive(mathieu_chain, t, gamma):
         Design(v=6, blocks=((0, 1, 2),), t=t, gamma=gamma)
     with pytest.raises(DesignError, match="t >= 1 and gamma >= 1"):
         validate_design(mathieu_chain[0], t=t, gamma=gamma)
+
+
+def test_fixed_designs_are_built_once_and_read_only():
+    words = golay_codewords()
+    assert golay_codewords() is words
+    with pytest.raises(ValueError):
+        words[0, 0] = 1
+    assert not words.flags.writeable
+    assert C.golay_witt_design() is C.golay_witt_design()
+    assert C.mathieu12_designs() is C.mathieu12_designs()

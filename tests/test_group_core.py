@@ -1,5 +1,7 @@
 """Differential tests: the array-backed group core against per-element oracles."""
 
+import functools
+import math
 import re
 import tracemalloc
 
@@ -9,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
-from concentrators import permgroup
+from concentrators import characters, permgroup
 from concentrators.characters import _class_matrices
+from concentrators.graphs import BicosetGraphs
 from concentrators.montecarlo import cayley_operator
 from concentrators.permgroup import (
     MATHIEU12_GENERATORS,
+    FiniteGroup,
     GroupError,
     Permutation,
     _keys,
@@ -408,3 +412,111 @@ def test_m12_classes_are_closed_under_conjugation(m12, m12_classes):
         ginv = np.argsort(g)
         # g x g^-1 maps p to g(x(g^-1(p))).
         assert np.array_equal(class_of[m12.lookup(g[x[:, ginv]])], class_of)
+
+
+# -- the bitwise row check of FiniteGroup against the scatter oracle -------------
+
+def _row_error(rows, degree):
+    try:
+        FiniteGroup(degree=degree, generators=(), rows=rows)
+    except GroupError as exc:
+        return str(exc)
+    return None
+
+
+def _row_cases(degree, seed):
+    """(label, rows) at ``degree``: distinct random bijections, then rows that
+    miss one point (in either 64-point word), rows with a point out of range
+    and rows that repeat an element."""
+    rng = np.random.default_rng(seed)
+    dtype = _row_dtype(degree)
+    perms = {tuple(range(degree))}
+    while len(perms) < min(math.factorial(degree), 6):
+        perms.add(tuple(rng.permutation(degree).tolist()))
+    valid = np.array(sorted(perms), dtype=dtype)
+    cases = [("valid", valid)]
+    for missing in sorted({0, degree // 2, degree - 1, 63, 64} & set(range(degree))):
+        if degree == 1:
+            break
+        bad = valid.copy()
+        i = int(rng.integers(len(bad)))
+        p = int(np.flatnonzero(bad[i] == missing)[0])
+        bad[i, p] = bad[i, (p + 1) % degree]
+        cases.append((f"point {missing} missing", bad))
+    for value in sorted({degree, np.iinfo(dtype).max}):
+        bad = valid.copy()
+        bad[-1, degree - 1] = value
+        cases.append((f"point {value} out of range", bad))
+    cases.append(("repeated element", np.concatenate([valid, valid[-1:]])))
+    return cases
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8, 9, 16, 17, 64, 65])
+def test_row_check_matches_the_scatter_oracle(degree):
+    cases = _row_cases(degree, seed=degree)
+    labels = [label for label, _ in cases]
+    assert "valid" in labels and "repeated element" in labels
+    assert any("out of range" in label for label in labels)
+    assert degree == 1 or any("missing" in label for label in labels)
+    for label, rows in cases:
+        want = oracles.group_row_error(rows, degree)
+        assert _row_error(rows, degree) == want, label
+        if "out of range" not in label:
+            assert permgroup._hits_every_point(rows, degree) == ("missing" not in label), label
+    if degree == 65:
+        # the second word alone: every point but 64 hit
+        assert {label for label, _ in cases} >= {"point 63 missing", "point 64 missing"}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*(functools.partial(C.symmetric_group, n) for n in range(1, 8)),
+     *(functools.partial(C.alternating_group, n) for n in (4, 5, 6)),
+     lambda: closure(12, MATHIEU12_GENERATORS[:5], name="M11"),
+     C.mathieu12_group],
+    ids=[*(f"S{n}" for n in range(1, 8)), "A4", "A5", "A6", "M11", "M12"],
+)
+def test_closure_rows_match_oracle(build):
+    G = build()
+    expected = oracles.closure(G.degree, [g.images for g in G.generators], 10**6)
+    assert list(map(tuple, G.rows.tolist())) == expected
+
+
+# -- one coset partition for both sides of a bi-coset graph with N = L ------------
+
+def assert_shared_partition(G, H):
+    graphs = BicosetGraphs(G, H, H)
+    assert graphs.outputs is graphs.inputs
+    reps, coset_of, cosets = oracles.right_cosets(images(G), images(H))
+    part = graphs.inputs
+    assert [G.index_of(r) for r in part.representatives] == list(reps)
+    assert part.coset_of == coset_of
+    assert part.cosets == cosets
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_and_subgroup())
+def test_bicoset_graphs_with_n_is_l_match_the_oracle_partition(groups):
+    assert_shared_partition(*groups)
+
+
+def test_bicoset_graphs_on_m12_over_m11_share_the_oracle_partition(m12):
+    assert_shared_partition(m12, closure(12, MATHIEU12_GENERATORS[:5], name="M11"))
+
+
+# -- class matrices from batched lookups ------------------------------------------
+
+@pytest.mark.parametrize("batch_rows", [1, 7, 50])
+@pytest.mark.parametrize("build", [C.symmetric_group, C.alternating_group])
+@pytest.mark.parametrize("n", [4, 5])
+def test_batched_class_matrices_match_oracle(monkeypatch, batch_rows, build, n):
+    # 1 and 7 rows give batches of one element, 50 rows several elements with
+    # a short last batch; the default batch holds all of these groups.
+    monkeypatch.setattr(characters, "_CONJ_BATCH_ROWS", batch_rows)
+    G = build(n)
+    classes, class_of = characters._class_structure(G)
+    assert classes == conjugacy_classes(G)
+    assert class_of == tuple({m: c for c, ms in enumerate(classes) for m in ms}[i]
+                             for i in range(len(G)))
+    mats = _class_matrices(G, classes, class_of)
+    assert mats.tolist() == oracles.class_matrices(images(G), classes)
