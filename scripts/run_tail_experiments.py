@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import concentrators as C
@@ -55,20 +54,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=_int_at_least(0), required=True)
     parser.add_argument("--out", default="tail_experiments.csv")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--timings", action="store_true")
     args = parser.parse_args(argv)
 
     batches = []
-    walls = []
     for variant, G, L, N, k, eps in build_grid():
-        t0 = time.perf_counter()
         if variant == "thm14":
             batch = run_cayley_trials(G, k, eps, args.trials, args.seed)
         elif variant == "thm15":
             batch = run_coset_trials(G, L, k, eps, args.trials, args.seed)
         else:
             batch = run_bicoset_trials(G, L, N, k, eps, args.trials, args.seed)
-        walls.append(time.perf_counter() - t0)
         batches.append(batch)
         status = "FALSIFIED" if batch.falsified() else ("vacuous" if batch.vacuous else "ok")
         print(
@@ -78,7 +73,7 @@ def main(argv=None) -> int:
         if batch.falsified():
             print(f"  reproducing seeds: ({batch.seed}, t) for t in {batch.violating_trials[:8]}")
 
-    rows = aggregate_rows(batches, wall_times=walls if args.timings else None)
+    rows = aggregate_rows(batches)
     text = render_csv(rows) if args.format == "csv" else render_json(rows)
     Path(args.out).write_text(text)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import math
 import sys
-import time
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import designs, fileio, graphs, montecarlo, spectral, verify
 from .characters import character_table, dim_sum_D, dim_sums_both
+from .montecarlo import _sig12
 from .pipeline import bicoset_concentrator_report
 
 
@@ -76,14 +76,10 @@ def _emit(payload, out: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _report_dict(r: verify.ConcentrationReport) -> dict:
     return {
         "mode": r.mode,
-        "worst_ratio": _round12(r.worst_ratio),
+        "worst_ratio": _sig12(r.worst_ratio),
         "worst_set": list(r.worst_set),
         "subsets_checked": r.subsets_checked,
         "verdict": r.verdict,
@@ -156,10 +152,10 @@ def _cmd_spectrum(args) -> int:
     report = spectral.sym_eigenvalues(mat, tol=args.tol)
     _emit(
         {
-            "eigenvalues": [_round12(x) for x in report.eigenvalues],
+            "eigenvalues": [_sig12(x) for x in report.eigenvalues],
             # a 1-vertex graph has no second eigenvalue
-            "mu_star": None if math.isnan(report.mu_star) else _round12(report.mu_star),
-            "residual": _round12(report.residual),
+            "mu_star": None if math.isnan(report.mu_star) else _sig12(report.mu_star),
+            "residual": _sig12(report.residual),
         },
         args.out,
     )
@@ -330,7 +326,6 @@ def _cmd_lemma11(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     G = fileio.load_group(args.group)
-    t0 = time.perf_counter()
     if args.variant == "thm14":
         batch = montecarlo.run_cayley_trials(G, args.k, args.eps, args.trials, args.seed)
     elif args.variant == "thm15":
@@ -345,8 +340,7 @@ def _cmd_montecarlo(args) -> int:
         batch = montecarlo.run_bicoset_trials(
             G, L, N, args.k, args.eps, args.trials, args.seed
         )
-    wall = time.perf_counter() - t0
-    rows = montecarlo.aggregate_rows([batch], wall_times=[wall] if args.timings else None)
+    rows = montecarlo.aggregate_rows([batch])
     if args.format == "csv":
         text = montecarlo.render_csv(rows)
         if args.out:
@@ -355,15 +349,13 @@ def _cmd_montecarlo(args) -> int:
     else:
         payload = {
             "summary": rows[0],
-            "mu_values": [_round12(x) for x in batch.mu_values],
+            "mu_values": [_sig12(x) for x in batch.mu_values],
             "violating_trials": list(batch.violating_trials),
             "flags": list(batch.flags),
         }
         if batch.top_values:
-            payload["top_values"] = [_round12(x) for x in batch.top_values]
+            payload["top_values"] = [_sig12(x) for x in batch.top_values]
         _emit(payload, args.out)
-    if args.timings:
-        print(f"wall time: {wall:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -375,9 +367,9 @@ def _cmd_pipeline63(args) -> int:
     payload = dataclasses.asdict(report)
     payload["magnifier"] = _report_dict(report.magnifier)
     for key in ("laplacian_gap", "gap_bound", "gram_top", "gram_second", "tanner_alpha"):
-        payload[key] = _round12(payload[key])
+        payload[key] = _sig12(payload[key])
     if payload["tanner_constant"] is not None:
-        payload["tanner_constant"] = _round12(payload["tanner_constant"])
+        payload["tanner_constant"] = _sig12(payload["tanner_constant"])
     payload["warnings"] = list(report.warnings)
     _emit(payload, args.out)
     return 0
@@ -490,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["thm14", "thm15", "thm18"], required=True)
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall time (breaks byte-reproducibility)")
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("pipeline63", help="bi-coset concentrator pipeline for a "
@@ -514,17 +504,22 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# Float options that must be finite.  ``main`` rejects a non-finite value
-# right after parsing, before the command reads any file or scans a subset.
-_FINITE = ("alpha", "c")
+# Float options that must be finite, and those of them that must also be
+# positive.  ``main`` rejects a bad value right after parsing, before the
+# command reads any file or scans a subset.
+_FINITE = ("alpha", "c", "tol")
+_POSITIVE = ("tol",)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     for name in _FINITE:
         value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            print(f"error: argument --{name}: must be finite, got {value}", file=sys.stderr)
+        if value is None:
+            continue
+        need = "finite and positive" if name in _POSITIVE else "finite"
+        if not math.isfinite(value) or (name in _POSITIVE and value <= 0):
+            print(f"error: argument --{name}: must be {need}, got {value}", file=sys.stderr)
             return 2
     try:
         return args.func(args)

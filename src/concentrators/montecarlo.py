@@ -416,15 +416,14 @@ def shifted_product_spectrum_matches(
 # -- reporting -----------------------------------------------------------------
 
 def _sig12(x: float) -> float:
+    """x at 12 significant digits, as every float in the output is printed."""
     return float(f"{x:.12g}")
 
 
-def aggregate_rows(
-    batches: list[TrialBatch], wall_times: list[float] | None = None
-) -> list[dict]:
+def aggregate_rows(batches: list[TrialBatch]) -> list[dict]:
     """One summary row per batch, deterministically ordered by (group, k, eps)."""
     rows = []
-    for i, b in enumerate(batches):
+    for b in batches:
         bounds = dict(b.bounds)
         row = {
             "variant": b.variant,
@@ -441,8 +440,6 @@ def aggregate_rows(
             "seed": b.seed,
             "trials": b.trials,
         }
-        if wall_times is not None:
-            row["wall_time_s"] = _sig12(wall_times[i])
         rows.append(row)
     rows.sort(key=lambda r: (r["group"], r["k"], r["eps"], r["variant"]))
     return rows
@@ -466,12 +463,9 @@ CSV_COLUMNS = (
 
 
 def render_csv(rows: list[dict]) -> str:
-    columns = list(CSV_COLUMNS)
-    if any("wall_time_s" in r for r in rows):
-        columns.append("wall_time_s")
-    lines = [",".join(columns)]
+    lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(",".join(_csv_cell(r.get(c)) for c in columns))
+        lines.append(",".join(_csv_cell(r.get(c)) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -36,21 +36,19 @@ Up to ``_LO_BITS`` inputs the high half is empty and the kernel is one row,
 which ``_one_row`` reads subset by subset instead (``_row_order``, cached per
 input count, holds the row in (size, lexicographic) order with each subset's
 lexicographic rank across sizes; the eligible subsets for any max_size are a
-prefix).  Its unions give ``value`` and ``fails`` per subset: a bsc scan
-stops at the first failing one, and the witness is the attaining subset of
-least lexicographic rank.
+prefix).  Its unions give ``value`` and ``fails`` per subset, and the witness
+is the attaining subset of least lexicographic rank.
 
 A bsc scan stops at its first refutation, by a rule that depends on the
-number of inputs alone, and both forms are read from the table too.  From
-``_CHUNK_EXIT_MIN_INPUTS`` inputs it covers every eligible mask up to the end
-of the chunk [1 + k*2^18, 1 + (k+1)*2^18) that holds the numerically least
-failing mask, found by re-expanding the failing cells of the least failing
-high mask.  Below that it stops at the first failing subset in (size,
-lexicographic) order, as a loop over ``itertools.combinations`` would: from
-13 inputs the failing cells of the least failing size are re-expanded to find
-that subset, the sizes below it count in full, and its own size counts up to
-its lexicographic rank.  No subset of its size before it fails, so none has a
-smaller value.
+number of inputs alone.  Below ``_CHUNK_EXIT_MIN_INPUTS`` it stops right
+after the first failing subset in (size, lexicographic) order, as a loop over
+``itertools.combinations`` would, and ``_one_row`` alone reads that order:
+from 13 inputs the kernel's table gives the least size with a failing cell,
+no smaller subset fails, and ``_one_row`` scans up to that size.  From
+``_CHUNK_EXIT_MIN_INPUTS`` inputs the scan covers every eligible mask up to
+the end of the chunk [1 + k*2^18, 1 + (k+1)*2^18) that holds the numerically
+least failing mask, found by re-expanding the failing cells of the least
+failing high mask, and the answers are read from the table.
 
 Sampled mode draws ``budget`` random subsets per size, reduces them with the
 same tables, and can only refute a claimed constant, never certify it.
@@ -74,7 +72,8 @@ _LO_BITS = 12
 # A refuted bsc scan from this many inputs stops at the end of the chunk
 # [1 + k*_CHUNK, 1 + (k+1)*_CHUNK) that holds its numerically least failing
 # subset; below it, right after its first failing subset in (size,
-# lexicographic) order.  _CHUNK also bounds the elements of one kernel block.
+# lexicographic) order, which ``_one_row`` reads.  _CHUNK also bounds the
+# elements of one kernel block.
 _CHUNK_EXIT_MIN_INPUTS = 17
 _CHUNK = 1 << 18
 
@@ -265,32 +264,14 @@ def _lex_least(cands: np.ndarray) -> int:
     return min(cands.tolist(), key=_lex_key)
 
 
-def _lex_not_after(masks, first):
-    """Which of the ``masks`` (each the size of ``first``) come no later than
-    ``first`` in lexicographic order: of two sets of one size, the one that
-    holds the least element of their symmetric difference comes first."""
-    diff = masks ^ np.uint64(first)
-    low = diff & -diff
-    return ((low & masks) != 0) | (diff == 0)
-
-
-def _lex_rank(combo, n):
-    """How many subsets of range(n) of size len(combo) come before the sorted
-    tuple ``combo`` in lexicographic order."""
-    rank, prev, k = 0, -1, len(combo)
-    for i, a in enumerate(combo):
-        rank += sum(math.comb(n - 1 - j, k - 1 - i) for j in range(prev + 1, a))
-        prev = a
-    return rank
-
-
 @functools.cache
 def _row_order(n_in):
-    """The nonempty subsets of n_in <= _LO_BITS inputs, the kernel's one row,
-    cached per input count: their masks in (size, lexicographic) order, which
-    is ``itertools.combinations`` size by size, their sizes, each one's rank
-    in the lexicographic order of index tuples across sizes, and, for each k
-    from 0 to n_in, how many of them have at most k elements.
+    """The nonempty subsets of n_in < _CHUNK_EXIT_MIN_INPUTS inputs (up to
+    _LO_BITS, the kernel's one row), cached per input count: their masks in
+    (size, lexicographic) order, which is ``itertools.combinations`` size by
+    size, their sizes, each one's rank in the lexicographic order of index
+    tuples across sizes, and, for each k from 0 to n_in, how many of them
+    have at most k elements.
 
     The lexicographic order of the subsets of {k, .., n_in - 1} is the empty
     set, then k joined to each of those of {k + 1, ..}, then the nonempty
@@ -298,20 +279,20 @@ def _row_order(n_in):
     lex = np.zeros(1, dtype=np.uint64)
     for k in reversed(range(n_in)):
         lex = np.concatenate((lex[:1], lex | np.uint64(1 << k), lex[1:]))
-    rank = np.empty(1 << n_in, dtype=np.intp)
-    rank[lex] = np.arange(1 << n_in)
-    masks, sizes, starts = _popcount_order(n_in)
-    order = np.lexsort((rank[masks], sizes))[1:]  # the empty set sorts first
-    masks = masks[order]
-    return _read_only(masks, sizes[order], rank[masks], starts[1:] - 1)
+    # a subset's rank is its position in ``lex``; the empty set sorts first
+    pops = np.bitwise_count(lex)
+    order = np.argsort(pops, kind="stable")[1:]
+    sizes = pops[order].astype(np.intp)
+    upto = np.searchsorted(sizes, np.arange(n_in + 1), side="right")
+    return _read_only(lex[order], sizes, order, upto)
 
 
 def _one_row(words, max_size, value, fails, exclude_self, stop_at_failure):
     """The least (value, witness) over the subsets of at most ``max_size`` of
-    n_in <= _LO_BITS inputs, read subset by subset from the kernel's one row
-    in (size, lexicographic) order: a bsc scan stops at its first failing
-    subset, and the witness is the least in lexicographic order among the
-    scanned subsets that attain the least value."""
+    n_in < _CHUNK_EXIT_MIN_INPUTS inputs, read subset by subset in (size,
+    lexicographic) order: a bsc scan stops at its first failing subset, and
+    the witness is the least in lexicographic order among the scanned subsets
+    that attain the least value."""
     masks, sizes, rank, upto = _row_order(len(words))
     end = int(upto[max_size])
     masks, sizes = masks[:end], sizes[:end]
@@ -341,70 +322,49 @@ def _one_row(words, max_size, value, fails, exclude_self, stop_at_failure):
 def _exhaustive(words, max_size, value, fails, exclude_self, stop_at_failure):
     """The least (value, witness) over every eligible subset, read off the
     kernel's least count per cell (``value``/``fails`` are monotone in |N|),
-    or from its one row by ``_one_row`` up to ``_LO_BITS`` inputs."""
+    or by ``_one_row`` up to ``_LO_BITS`` inputs and for a refuted bsc scan
+    below ``_CHUNK_EXIT_MIN_INPUTS``."""
     n_in = len(words)
     if n_in <= _LO_BITS:
         return _one_row(words, max_size, value, fails, exclude_self, stop_at_failure)
     kernel = _Kernel(words, exclude_self)
     least = kernel.least(max_size)
     sizes = kernel.sizes
-    value = _size_rows(value, n_in, np.inf)
-    cell_value = value[sizes, least]
-    region = None  # the cells a stopped scan covers in full
-    edge = None  # the size inside which a scan stops, after subset ``first``
+    size_value = _size_rows(value, n_in, np.inf)
+    cell_value = size_value[sizes, least]
     failed = False
     if fails is not None:
-        fails = _size_rows(fails, n_in, False)
-        cell_fails = fails[sizes, least]
+        size_fails = _size_rows(fails, n_in, False)
+        cell_fails = size_fails[sizes, least]
         failed = bool(cell_fails.any())
     if not (failed and stop_at_failure):
         checked = _walk(n_in, max_size)[2]
-    elif n_in >= _CHUNK_EXIT_MIN_INPUTS:
+    elif n_in < _CHUNK_EXIT_MIN_INPUTS:
+        # No subset below the least failing size fails, so the scan in
+        # (size, lexicographic) order stops inside that size.
+        size = int(sizes[cell_fails].min())
+        return _one_row(words, size, value, fails, exclude_self, True)
+    else:
         # The numerically least failing subset is in the failing cells of the
         # least failing high mask, and the scan ends with its chunk, whose
-        # last mask has no low bits.
+        # last mask has no low bits; it covers the cells of ``region`` in full.
         rows = np.flatnonzero(cell_fails.any(axis=1))
         row = rows[np.argmin(kernel.hi[rows])]
         cells = np.zeros_like(cell_fails)
         cells[row] = cell_fails[row]
         masks, s, counts = next(kernel.members(cells))
-        first = int(masks[fails[s, counts]].min())
+        first = int(masks[size_fails[s, counts]].min())
         last = ((first - 1) // _CHUNK + 1) * _CHUNK
         region = (sizes >= 1) & (sizes <= max_size)
         if last < 1 << n_in:
             hi, top = kernel.hi[:, None], last >> kernel.lo_bits
             region &= (hi < top) | ((hi == top) & (sizes == kernel.hi_pop[:, None]))
         checked = int((np.diff(kernel.lo_starts) * region).sum())
-    else:
-        # The first failing subset in (size, lexicographic) order ends the
-        # scan; the subsets of its size before it do not fail and it does, so
-        # none of them has a smaller value.
-        size = int(sizes[cell_fails].min())
-        found = []
-        for masks, s, counts in kernel.members(cell_fails & (sizes == size)):
-            bad = fails[s, counts]
-            one = _lex_least(masks[bad])
-            found.append((one, value[size, counts[masks == one][0]]))
-        first, first_value = min(found, key=lambda pair: _lex_key(pair[0]))
-        region = (sizes >= 1) & (sizes < size)
-        edge = size
-        checked = sum(math.comb(n_in, s) for s in range(1, size))
-        checked += _lex_rank(_mask_to_set(first), n_in) + 1
-    if region is None:
-        low = cell_value.min()
-        cells = cell_value == low
-    else:
-        low = cell_value[region].min(initial=np.inf)
-        if edge is not None:
-            low = min(low, first_value)
-            region |= sizes == edge
-        cells = region & (cell_value <= low)
+        cell_value = np.where(region, cell_value, np.inf)
+    low = cell_value.min()
     best = []
-    for masks, s, counts in kernel.members(cells):
-        hit = value[s, counts] == low
-        if edge is not None:
-            hit &= (s != edge) | _lex_not_after(masks, first)
-        masks = masks[hit]
+    for masks, s, counts in kernel.members(cell_value == low):
+        masks = masks[size_value[s, counts] == low]
         if masks.size:
             best.append(_lex_least(masks))
     witness = best[0] if len(best) == 1 else min(best, key=_lex_key)

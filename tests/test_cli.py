@@ -571,18 +571,23 @@ def test_malformed_group_files_keep_the_exit_code_contract(capsys, tmp_path, con
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["verify-bsc", "--alpha", "0.5"], "--c"),
-        (["verify-bsc", "--c", "1.0"], "--alpha"),
-        (["verify-magnifier"], "--c"),
-        (["verify-expander"], "--c"),
+        (["verify-bsc", "--alpha", "0.5", "--graph"], "--c"),
+        (["verify-bsc", "--c", "1.0", "--graph"], "--alpha"),
+        (["verify-magnifier", "--graph"], "--c"),
+        (["verify-expander", "--graph"], "--c"),
+        (["spectrum", "--graph"], "--tol"),
+        (["chartable", "--group"], "--tol"),
     ],
-    ids=["verify-bsc-c", "verify-bsc-alpha", "verify-magnifier", "verify-expander"],
+    ids=["verify-bsc-c", "verify-bsc-alpha", "verify-magnifier", "verify-expander",
+         "spectrum-tol", "chartable-tol"],
 )
 def test_non_finite_c_and_alpha_rejected_before_the_graph_is_read(capsys, tmp_path, argv, flag):
-    # The graph file does not exist: the finiteness error comes first.
+    # The graph or group file does not exist: the finiteness error comes
+    # first.  --tol must also be positive.
     missing = str(tmp_path / "missing.txt")
-    for text in ("nan", "inf", "-inf", "NaN"):
-        code = _main_exit([*argv, f"{flag}={text}", "--graph", missing])
+    bad = ("0", "-1") if flag == "--tol" else ()
+    for text in ("nan", "inf", "-inf", "NaN", *bad):
+        code = _main_exit([*argv, missing, f"{flag}={text}"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -204,12 +204,3 @@ def test_aggregate_rows_ordering_and_formats(s3, a3):
         cells = dict(zip(header, line.split(",")))
         for col in ("eps", "threshold", "empirical_tail", "bound_paper", "bound_support"):
             assert float(cells[col]) == row_obj[col]
-
-
-def test_wall_time_column_is_optional(s3):
-    b = run_cayley_trials(s3, k=2, eps=0.5, trials=5, seed=2)
-    rows = aggregate_rows([b], wall_times=[0.125])
-    assert "wall_time_s" in rows[0]
-    assert "wall_time_s" in render_csv(rows).splitlines()[0]
-    rows_plain = aggregate_rows([b])
-    assert "wall_time_s" not in rows_plain[0]

@@ -593,7 +593,7 @@ def test_non_monotone_table_raises(which):
         _scan(k33().inc, 2, tables, "sampled", 5, 1)
 
 
-# -- the one-row read (at most 12 inputs) and the two-row layout from 13 -------
+# -- the one-row read (up to 12 inputs; refuted bsc scans up to 16) ------------
 
 
 @st.composite
@@ -644,7 +644,7 @@ def test_one_row_read_matches_the_reference_loops(data, n_in, c):
     _check_one_row_scans(X, c, [data.draw(st.integers(1, n_in))], adj, square)
 
 
-@pytest.mark.parametrize("n_in", range(1, 14))
+@pytest.mark.parametrize("n_in", range(1, 17))
 def test_one_row_read_at_every_max_size(n_in):
     # Every input count and every max_size, on tied blocks (float-equal
     # minima at several sizes) placed by a fixed seed.
