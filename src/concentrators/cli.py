@@ -395,6 +395,11 @@ _seed = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="concentrators",
         description="Construct concentrator graph families and verify their "
@@ -494,14 +499,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pipeline63)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call in this process reuses; parsing leaves
-    no state on it."""
-    return build_parser()
+# The parsers every ``main`` call in this process reuses; parsing leaves no
+# state on them.
+_shared_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass: an argv that starts
+    with a subcommand name is parsed by that subcommand's parser alone, which
+    is what the full parser hands the rest of the argv to.  Any other argv,
+    or one that leaves arguments over, goes through the full parser, so every
+    usage error keeps its text and exit code 2."""
+    parser, subcommands = _shared_parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in subcommands:
+        namespace = argparse.Namespace(command=argv[0])
+        args, extras = subcommands[argv[0]].parse_known_args(argv[1:], namespace)
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 # Float options that must be finite, and those of them that must also be
@@ -512,7 +532,7 @@ _POSITIVE = ("tol",)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse_args(argv)
     for name in _FINITE:
         value = getattr(args, name, None)
         if value is None:

@@ -228,15 +228,22 @@ def bicayley_graph(
     return bicoset_graph(G, triv, triv, S, simple=simple)
 
 
+def closed_neighborhoods(g: Graph) -> np.ndarray:
+    """The support of A + I as booleans: row v is v's closed neighborhood, so
+    the union of the rows of a vertex set X is N(X) ∪ X.  For a simple graph
+    it is the extended double cover's incidence."""
+    support = g.adj > 0
+    np.fill_diagonal(support, True)
+    return support
+
+
 def extended_double_cover(g: Graph) -> BipartiteGraph:
     """Bipartite graph with incidence A + I; wants a simple input graph."""
     if not g.is_simple():
         raise GraphError("extended double cover needs a simple graph")
-    inc = g.adj.copy()
-    inc.flat[:: g.n + 1] = 1  # A + I, as a simple graph has no loops
     labels_x = tuple(f"x{i}" for i in range(g.n))
     labels_y = tuple(f"y{i}" for i in range(g.n))
-    return BipartiteGraph(inc, labels_x, labels_y)
+    return BipartiteGraph(closed_neighborhoods(g), labels_x, labels_y)
 
 
 def gq22_incidence() -> BipartiteGraph:

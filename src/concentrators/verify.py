@@ -2,16 +2,29 @@
 
 Each check minimizes a function of |X| and |N(X)| alone over the eligible
 input sets X, so it is a pair of small tables indexed by [|X|, |N(X)|]:
-``value`` (the bsc ratio |N(X)|/|X|, the magnifier ratio |N(X) - X|/|X|, or
-the largest expander constant that passes) and ``fails`` (the bsc or expander
-inequality does not hold; the magnifier has none).  Every scan reports the
-least (value, witness), the witness being the lexicographically least index
-tuple among float-equal minima.
+``value`` (the bsc ratio |N(X)|/|X|, the magnifier ratio, or the largest
+expander constant that passes) and ``fails`` (the bsc or expander inequality
+does not hold; the magnifier has none).  The magnifier scans the support of
+A + I, whose neighbor union of X is N(X) ∪ X, and reads |N(X) - X|/|X| as
+(|N(X) ∪ X| - |X|)/|X|.  Every scan reports the least (value, witness), the
+witness being the lexicographically least index tuple among float-equal
+minima.
+
+A scan is a gather and a read.  The gather (``_gather``) takes the neighbor
+counts of the eligible subsets once; its ``read(value, fails,
+stop_at_failure)`` reduces them through one pair of tables.  ``lemma11``'s
+magnifier and the expander check of its extended double cover scan the same
+support with the same ``max_size`` of n/2, so ``double_cover_harness`` reads
+both answers off one gather.  Their ``value`` tables depend only on the shape
+(n_in, n_out, max_size), so each is built, checked and cached read-only once
+per shape (``_value_table``); only the expander's ``fails`` table, which
+depends on the claimed constant, is built per call.
 
 Both tables must be monotone in |N(X)| at a fixed |X|: ``value`` never
 decreases and ``fails`` never turns from False to True as |N(X)| grows, and
-``_scan`` raises if they do not.  So the least value among the subsets of
-one size, and whether any of them fails, is read at that size's least |N(X)|.
+``_check_monotone`` raises if they do not.  So the least value among the
+subsets of one size, and whether any of them fails, is read at that size's
+least |N(X)|.
 
 Exhaustive mode (up to 24 inputs) runs one kernel, ``_Kernel``.  A subset is
 a bitmask split into a low half of 12 bits and a high half, and both
@@ -22,8 +35,7 @@ it takes the prefix of low columns with popcount at most max_size - p (so 24
 inputs with max_size 12 visit 9,740,685 subsets, not 2^24 - 1).  Neighbor
 sets are split into 64-bit words; each half has a table of the neighbor union
 of every subset of its bits, built by doubling, so a block of at most 2^18
-subsets costs one broadcast OR per word and a popcount (the magnifier ORs X
-into its own union and subtracts |X|, which gives |N(X) - X|).
+subsets costs one broadcast OR per word and a popcount.
 ``np.minimum.reduceat`` over the popcount groups reduces each block to a
 table of the least |N(X)| per cell.
 
@@ -33,25 +45,26 @@ are re-expanded, to find the lexicographically least witness.
 ``subsets_checked`` counts the eligible subsets the scan covers.
 
 Up to ``_LO_BITS`` inputs the high half is empty and the kernel is one row,
-which ``_one_row`` reads subset by subset instead (``_row_order``, cached per
+which ``_OneRow`` reads subset by subset instead (``_row_order``, cached per
 input count, holds the row in (size, lexicographic) order with each subset's
 lexicographic rank across sizes; the eligible subsets for any max_size are a
-prefix).  Its unions give ``value`` and ``fails`` per subset, and the witness
+prefix).  Its counts give ``value`` and ``fails`` per subset, and the witness
 is the attaining subset of least lexicographic rank.
 
 A bsc scan stops at its first refutation, by a rule that depends on the
 number of inputs alone.  Below ``_CHUNK_EXIT_MIN_INPUTS`` it stops right
 after the first failing subset in (size, lexicographic) order, as a loop over
-``itertools.combinations`` would, and ``_one_row`` alone reads that order:
+``itertools.combinations`` would, and ``_OneRow`` alone reads that order:
 from 13 inputs the kernel's table gives the least size with a failing cell,
-no smaller subset fails, and ``_one_row`` scans up to that size.  From
+no smaller subset fails, and ``_OneRow`` scans up to that size.  From
 ``_CHUNK_EXIT_MIN_INPUTS`` inputs the scan covers every eligible mask up to
 the end of the chunk [1 + k*2^18, 1 + (k+1)*2^18) that holds the numerically
 least failing mask, found by re-expanding the failing cells of the least
 failing high mask, and the answers are read from the table.
 
-Sampled mode draws ``budget`` random subsets per size, reduces them with the
-same tables, and can only refute a claimed constant, never certify it.
+Sampled mode (``_Sampled``) draws ``budget`` random subsets per size, reduces
+them with the same tables, and can only refute a claimed constant, never
+certify it.
 """
 
 from __future__ import annotations
@@ -62,17 +75,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BipartiteGraph, Graph, extended_double_cover
+from .graphs import BipartiteGraph, Graph, GraphError, closed_neighborhoods
 from .permgroup import seeded_rng
 
 EXHAUSTIVE_CAP = 24
 # The kernel's low half has this many bits; with at most this many inputs the
-# high half is empty and the scan reads the kernel's one row (``_one_row``).
+# high half is empty and the scan reads the kernel's one row (``_OneRow``).
 _LO_BITS = 12
 # A refuted bsc scan from this many inputs stops at the end of the chunk
 # [1 + k*_CHUNK, 1 + (k+1)*_CHUNK) that holds its numerically least failing
 # subset; below it, right after its first failing subset in (size,
-# lexicographic) order, which ``_one_row`` reads.  _CHUNK also bounds the
+# lexicographic) order, which ``_OneRow`` reads.  _CHUNK also bounds the
 # elements of one kernel block.
 _CHUNK_EXIT_MIN_INPUTS = 17
 _CHUNK = 1 << 18
@@ -156,8 +169,8 @@ def _walk(n_in, max_size):
     inputs, cached: the widest column prefix, the blocks, and the number of
     subsets.  Each high popcount p takes the prefix of columns with low
     popcount up to max_size - p, in blocks of at most ``_CHUNK`` unions; a
-    block is (rows, columns, popcount group starts, cell sizes)."""
-    lb, _, _, lo_starts, _, _, hi_starts, _, sizes = _layout(n_in)
+    block is (rows, columns, popcount group starts)."""
+    lb, _, _, lo_starts, _, _, hi_starts, _, _ = _layout(n_in)
     blocks = []
     for p in range(min(n_in - lb, max_size) + 1):
         top = min(max_size - p, lb) + 1
@@ -166,36 +179,38 @@ def _walk(n_in, max_size):
         step = max(1, _CHUNK // ncols)
         for r in range(first, stop, step):
             rows = slice(r, min(r + step, stop))
-            blocks.append((rows, ncols, lo_starts[:top], sizes[rows, :top]))
+            blocks.append((rows, ncols, lo_starts[:top]))
     count = sum(math.comb(n_in, size) for size in range(1, max_size + 1))
     return int(lo_starts[min(max_size, lb) + 1]), tuple(blocks), count
 
 
 class _Kernel:
-    """Neighbor counts of the subsets of _LO_BITS < n_in <= 24 inputs.
+    """Neighbor counts |N(X)| of the subsets of at most ``max_size`` of
+    _LO_BITS < n_in <= 24 inputs.
 
     A subset is a high mask (its inputs from ``lo_bits`` on) and a low mask,
     each half in ``_popcount_order``: row i is the high mask ``hi[i]``, column
     j the low mask ``lo[j]``, and cell (i, q) holds the subsets of row i whose
     low half has q elements, the columns ``lo_starts[q]:lo_starts[q + 1]``.
-    The count of a subset X is |N(X)|, or |N(X) - X| with ``exclude_self``.
+    ``least`` is the least count of every cell (0 in the cells with no
+    eligible subset): each block of ``_walk`` is reduced by
+    ``np.minimum.reduceat`` over its popcount groups.
     """
 
-    def __init__(self, words, exclude_self):
+    def __init__(self, words, max_size):
+        self.words, self.max_size = words, max_size
         self.n_in = len(words)
         (self.lo_bits, self.lo, self.lo_pop, self.lo_starts, self.hi, self.hi_pop, _,
          self.hi_masks, self.sizes) = _layout(self.n_in)
-        self.exclude_self = exclude_self
-        # With exclude_self, X joins its own union, so |N(X) - X| is the
-        # union's popcount minus |X|; the input bits all lie in word 0.
-        self.tables = []
-        for w, col in enumerate(words.T):
-            lo = _union_table(col[: self.lo_bits])[self.lo]
-            hi = _union_table(col[self.lo_bits :])[self.hi]
-            if exclude_self and w == 0:
-                lo |= self.lo
-                hi |= self.hi_masks
-            self.tables.append((lo, hi))
+        lb = self.lo_bits
+        self.tables = [
+            (_union_table(col[:lb])[self.lo], _union_table(col[lb:])[self.hi]) for col in words.T
+        ]
+        self.least = np.zeros((len(self.hi), self.lo_bits + 1), dtype=np.intp)
+        self.ncols, blocks, self.count = _walk(self.n_in, max_size)
+        for rows, ncols, groups in blocks:
+            unions = self._unions(rows, ncols)
+            self.least[rows, : len(groups)] = np.minimum.reduceat(unions, groups, axis=1)
 
     def _unions(self, rows, ncols):
         """Union popcounts over the rows ``rows`` and the first ``ncols``
@@ -209,19 +224,6 @@ class _Kernel:
                 total += count  # at most 3 * 64 in uint8
         return total
 
-    def least(self, max_size):
-        """The least count of every cell of subsets with at most ``max_size``
-        elements, shape (rows, lo_bits + 1); 0 in the other cells.  Each block
-        of ``_walk`` is reduced by ``np.minimum.reduceat`` over its popcount
-        groups to one least count per cell."""
-        table = np.zeros((len(self.hi), self.lo_bits + 1), dtype=np.intp)
-        self.ncols, blocks, _ = _walk(self.n_in, max_size)
-        for rows, ncols, groups, sizes in blocks:
-            unions = self._unions(rows, ncols)
-            least = np.minimum.reduceat(unions, groups, axis=1)
-            table[rows, : len(groups)] = self._counts(least, sizes)
-        return table
-
     def members(self, cells):
         """(masks, sizes, counts) of the subsets in the selected ``cells``,
         flattened, in blocks of at most ``_CHUNK`` unions: the re-expansion of
@@ -234,10 +236,53 @@ class _Kernel:
             keep = cells[block][:, lo_pop]
             sizes = (self.hi_pop[block, None] + lo_pop)[keep]
             unions = self._unions(block, self.ncols)[keep]
-            yield (self.hi_masks[block, None] | lo)[keep], sizes, self._counts(unions, sizes)
+            yield (self.hi_masks[block, None] | lo)[keep], sizes, unions
 
-    def _counts(self, unions, sizes):
-        return unions - sizes if self.exclude_self else unions
+    def read(self, value, fails, stop_at_failure):
+        """The least (value, witness) over every eligible subset, read off the
+        least count per cell (``value``/``fails`` are monotone in |N|), or by
+        ``_OneRow`` for a refuted bsc scan below ``_CHUNK_EXIT_MIN_INPUTS``."""
+        n_in, sizes = self.n_in, self.sizes
+        size_value = _size_rows(value, n_in, np.inf)
+        cell_value = size_value[sizes, self.least]
+        failed = False
+        if fails is not None:
+            size_fails = _size_rows(fails, n_in, False)
+            cell_fails = size_fails[sizes, self.least]
+            failed = bool(cell_fails.any())
+        if not (failed and stop_at_failure):
+            checked = self.count
+        elif n_in < _CHUNK_EXIT_MIN_INPUTS:
+            # No subset below the least failing size fails, so the scan in
+            # (size, lexicographic) order stops inside that size.
+            size = int(sizes[cell_fails].min())
+            return _OneRow(self.words, size).read(value, fails, True)
+        else:
+            # The numerically least failing subset is in the failing cells of
+            # the least failing high mask, and the scan ends with its chunk,
+            # whose last mask has no low bits; it covers the cells of
+            # ``region`` in full.
+            rows = np.flatnonzero(cell_fails.any(axis=1))
+            row = rows[np.argmin(self.hi[rows])]
+            cells = np.zeros_like(cell_fails)
+            cells[row] = cell_fails[row]
+            masks, s, counts = next(self.members(cells))
+            first = int(masks[size_fails[s, counts]].min())
+            last = ((first - 1) // _CHUNK + 1) * _CHUNK
+            region = (sizes >= 1) & (sizes <= self.max_size)
+            if last < 1 << n_in:
+                hi, top = self.hi[:, None], last >> self.lo_bits
+                region &= (hi < top) | ((hi == top) & (sizes == self.hi_pop[:, None]))
+            checked = int((np.diff(self.lo_starts) * region).sum())
+            cell_value = np.where(region, cell_value, np.inf)
+        low = cell_value.min()
+        best = []
+        for masks, s, counts in self.members(cell_value == low):
+            masks = masks[size_value[s, counts] == low]
+            if masks.size:
+                best.append(_lex_least(masks))
+        witness = best[0] if len(best) == 1 else min(best, key=_lex_key)
+        return float(low), _mask_to_set(witness), checked, failed
 
 
 _FLIP = str.maketrans("01", "10")
@@ -287,88 +332,36 @@ def _row_order(n_in):
     return _read_only(lex[order], sizes, order, upto)
 
 
-def _one_row(words, max_size, value, fails, exclude_self, stop_at_failure):
-    """The least (value, witness) over the subsets of at most ``max_size`` of
-    n_in < _CHUNK_EXIT_MIN_INPUTS inputs, read subset by subset in (size,
-    lexicographic) order: a bsc scan stops at its first failing subset, and
-    the witness is the least in lexicographic order among the scanned subsets
-    that attain the least value."""
-    masks, sizes, rank, upto = _row_order(len(words))
-    end = int(upto[max_size])
-    masks, sizes = masks[:end], sizes[:end]
-    counts = np.zeros(end, dtype=np.intp)
-    for w, col in enumerate(words.T):
-        unions = _union_table(col)[masks]
-        if exclude_self and w == 0:
-            unions |= masks
-        counts += np.bitwise_count(unions)
-    if exclude_self:
-        counts -= sizes
-    rows = sizes - 1
-    values = value[rows, counts]
-    failed = False
-    if fails is not None:
-        bad = fails[rows, counts]
-        failed = bool(bad.any())
-        if failed and stop_at_failure:
-            end = int(bad.argmax()) + 1
-            values = values[:end]
-    low = values.min()
-    hits = (values == low).nonzero()[0]
-    witness = int(masks[hits[rank[hits].argmin()]])
-    return float(low), _mask_to_set(witness), end, failed
+class _OneRow:
+    """Neighbor counts |N(X)| of the subsets of at most ``max_size`` of
+    n_in < _CHUNK_EXIT_MIN_INPUTS inputs, one per subset in (size,
+    lexicographic) order."""
 
+    def __init__(self, words, max_size):
+        masks, sizes, self.rank, upto = _row_order(len(words))
+        end = int(upto[max_size])
+        self.masks, self.rows = masks[:end], sizes[:end] - 1
+        self.counts = np.zeros(end, dtype=np.intp)
+        for col in words.T:
+            self.counts += np.bitwise_count(_union_table(col)[self.masks])
 
-def _exhaustive(words, max_size, value, fails, exclude_self, stop_at_failure):
-    """The least (value, witness) over every eligible subset, read off the
-    kernel's least count per cell (``value``/``fails`` are monotone in |N|),
-    or by ``_one_row`` up to ``_LO_BITS`` inputs and for a refuted bsc scan
-    below ``_CHUNK_EXIT_MIN_INPUTS``."""
-    n_in = len(words)
-    if n_in <= _LO_BITS:
-        return _one_row(words, max_size, value, fails, exclude_self, stop_at_failure)
-    kernel = _Kernel(words, exclude_self)
-    least = kernel.least(max_size)
-    sizes = kernel.sizes
-    size_value = _size_rows(value, n_in, np.inf)
-    cell_value = size_value[sizes, least]
-    failed = False
-    if fails is not None:
-        size_fails = _size_rows(fails, n_in, False)
-        cell_fails = size_fails[sizes, least]
-        failed = bool(cell_fails.any())
-    if not (failed and stop_at_failure):
-        checked = _walk(n_in, max_size)[2]
-    elif n_in < _CHUNK_EXIT_MIN_INPUTS:
-        # No subset below the least failing size fails, so the scan in
-        # (size, lexicographic) order stops inside that size.
-        size = int(sizes[cell_fails].min())
-        return _one_row(words, size, value, fails, exclude_self, True)
-    else:
-        # The numerically least failing subset is in the failing cells of the
-        # least failing high mask, and the scan ends with its chunk, whose
-        # last mask has no low bits; it covers the cells of ``region`` in full.
-        rows = np.flatnonzero(cell_fails.any(axis=1))
-        row = rows[np.argmin(kernel.hi[rows])]
-        cells = np.zeros_like(cell_fails)
-        cells[row] = cell_fails[row]
-        masks, s, counts = next(kernel.members(cells))
-        first = int(masks[size_fails[s, counts]].min())
-        last = ((first - 1) // _CHUNK + 1) * _CHUNK
-        region = (sizes >= 1) & (sizes <= max_size)
-        if last < 1 << n_in:
-            hi, top = kernel.hi[:, None], last >> kernel.lo_bits
-            region &= (hi < top) | ((hi == top) & (sizes == kernel.hi_pop[:, None]))
-        checked = int((np.diff(kernel.lo_starts) * region).sum())
-        cell_value = np.where(region, cell_value, np.inf)
-    low = cell_value.min()
-    best = []
-    for masks, s, counts in kernel.members(cell_value == low):
-        masks = masks[size_value[s, counts] == low]
-        if masks.size:
-            best.append(_lex_least(masks))
-    witness = best[0] if len(best) == 1 else min(best, key=_lex_key)
-    return float(low), _mask_to_set(witness), checked, failed
+    def read(self, value, fails, stop_at_failure):
+        """The least (value, witness) in that order: a bsc scan stops at its
+        first failing subset, and the witness is the least in lexicographic
+        order among the scanned subsets that attain the least value."""
+        values = value[self.rows, self.counts]
+        end = len(values)
+        failed = False
+        if fails is not None:
+            bad = fails[self.rows, self.counts]
+            failed = bool(bad.any())
+            if failed and stop_at_failure:
+                end = int(bad.argmax()) + 1
+                values = values[:end]
+        low = values.min()
+        hits = (values == low).nonzero()[0]
+        witness = int(self.masks[hits[self.rank[hits].argmin()]])
+        return float(low), _mask_to_set(witness), end, failed
 
 
 def _size_rows(table, n_in, fill) -> np.ndarray:
@@ -379,53 +372,33 @@ def _size_rows(table, n_in, fill) -> np.ndarray:
     return rows
 
 
-def _sampled(words, max_size, value, fails, exclude_self, budget, seed):
-    """The least (value, witness) over ``budget`` sorted
-    ``rng.choice(n_in, size, replace=False)`` draws per size, one at a time."""
-    rng = seeded_rng(seed)
-    masks = [int.from_bytes(row.tobytes(), "little") for row in words]
-    value = value.tolist()
-    fails = None if fails is None else fails.tolist()
-    best = None
-    checked = 0
-    failed = False
-    for size in range(1, max_size + 1):
-        for _ in range(budget):
-            combo = tuple(sorted(int(x) for x in rng.choice(len(masks), size=size, replace=False)))
-            union = 0
-            for v in combo:
-                union |= masks[v]
-            if exclude_self:
-                union &= ~sum(1 << v for v in combo)
-            nbrs = union.bit_count()
-            checked += 1
-            failed = failed or (fails is not None and fails[size - 1][nbrs])
-            cand = (value[size - 1][nbrs], combo)
-            if best is None or cand < best:
-                best = cand
-    return (*best, checked, failed)
+class _Sampled:
+    """``budget`` sorted ``rng.choice(n_in, size, replace=False)`` draws per
+    size, one at a time, with the neighbor count |N(X)| of each."""
+
+    def __init__(self, words, max_size, budget, seed):
+        rng = seeded_rng(seed)
+        masks = [int.from_bytes(row.tobytes(), "little") for row in words]
+        n_in = len(masks)
+        self.draws = []
+        for size in range(1, max_size + 1):
+            for _ in range(budget):
+                combo = tuple(sorted(int(x) for x in rng.choice(n_in, size=size, replace=False)))
+                union = 0
+                for v in combo:
+                    union |= masks[v]
+                self.draws.append((size - 1, union.bit_count(), combo))
+
+    def read(self, value, fails, stop_at_failure):
+        """The least (value, draw); a sampled scan never stops early."""
+        value = value.tolist()
+        best = min((value[row][nbrs], combo) for row, nbrs, combo in self.draws)
+        failed = fails is not None and any(fails[row, nbrs] for row, nbrs, _ in self.draws)
+        return (*best, len(self.draws), failed)
 
 
-def _check_monotone(value, fails) -> None:
-    """Every scan reads a size's least value, and whether any of its subsets
-    fails, at that size's least |N|; that needs ``value`` never to decrease
-    and ``fails`` never to turn from False to True as |N| grows."""
-    if not (value[:, 1:] >= value[:, :-1]).all():
-        raise VerifyError("oracle value table decreases as |N| grows")
-    if fails is not None and (fails[:, 1:] > fails[:, :-1]).any():
-        raise VerifyError("oracle failure table turns true as |N| grows")
-
-
-def _scan(mat, max_size, tables, mode, budget, seed, exclude_self=False, stop_at_failure=False):
-    """(least value, its witness, subsets checked, whether a subset failed)
-    over the input sets of at most ``max_size`` rows of ``mat``.
-
-    ``tables(sizes, nbrs)`` gives ``value`` and ``fails`` (or None) on the
-    broadcast grid of a size column and the neighbor counts 0..n_out; both
-    must be monotone in the neighbor count (``_check_monotone``).
-    ``stop_at_failure`` ends an exhaustive scan at its first failing subset.
-    """
-    n_in, n_out = np.shape(mat)
+def _check_mode(n_in, mode, budget, seed) -> None:
+    """Raise if ``mode`` cannot scan n_in inputs with this budget and seed."""
     if mode == "exhaustive":
         if n_in > EXHAUSTIVE_CAP:
             raise VerifyError(f"exhaustive mode capped at {EXHAUSTIVE_CAP} inputs, got {n_in}")
@@ -436,13 +409,61 @@ def _scan(mat, max_size, tables, mode, budget, seed, exclude_self=False, stop_at
             raise VerifyError(f"sampled mode needs a budget of at least 1, got {budget}")
     else:
         raise VerifyError(f"unknown mode {mode!r}")
+
+
+def _gather(mat, max_size, mode, budget, seed):
+    """The neighbor counts of the input sets of at most ``max_size`` rows of
+    ``mat`` (mode already checked): a ``_Sampled``, ``_OneRow`` or
+    ``_Kernel``, whose ``read(value, fails, stop_at_failure)`` gives what
+    ``_scan`` gives."""
     words = _neighbor_words(mat)
+    if mode == "sampled":
+        return _Sampled(words, max_size, budget, seed)
+    if len(words) <= _LO_BITS:
+        return _OneRow(words, max_size)
+    return _Kernel(words, max_size)
+
+
+def _check_monotone(value, fails) -> None:
+    """Every scan reads a size's least value, and whether any of its subsets
+    fails, at that size's least |N|; that needs ``value`` never to decrease
+    and ``fails`` never to turn from False to True as |N| grows.  Either
+    table may be None."""
+    if value is not None and not (value[:, 1:] >= value[:, :-1]).all():
+        raise VerifyError("oracle value table decreases as |N| grows")
+    if fails is not None and (fails[:, 1:] > fails[:, :-1]).any():
+        raise VerifyError("oracle failure table turns true as |N| grows")
+
+
+def _grid(max_size, n_out):
+    """A size column 1..max_size and the neighbor counts 0..n_out, which
+    broadcast to the [|X| - 1, |N|] grid of a table."""
+    return np.arange(1, max_size + 1)[:, None], np.arange(n_out + 1)
+
+
+@functools.lru_cache(maxsize=64)  # bounded: sampled mode takes any graph size
+def _value_table(ratio, n_in, n_out, max_size) -> np.ndarray:
+    """``ratio(n_in, sizes, nbrs)`` on the ``_grid``: built, checked monotone
+    and made read-only once per shape."""
+    value = ratio(n_in, *_grid(max_size, n_out))
+    _check_monotone(value, None)
+    return _read_only(value)[0]
+
+
+def _scan(mat, max_size, tables, mode, budget, seed, stop_at_failure=False):
+    """(least value, its witness, subsets checked, whether a subset failed)
+    over the input sets of at most ``max_size`` rows of ``mat``.
+
+    ``tables(sizes, nbrs)`` gives ``value`` and ``fails`` (or None) on the
+    ``_grid``; both must be monotone in the neighbor count
+    (``_check_monotone``).  ``stop_at_failure`` ends an exhaustive scan at its
+    first failing subset."""
+    n_in, n_out = np.shape(mat)
+    _check_mode(n_in, mode, budget, seed)
     max_size = min(max_size, n_in)
-    value, fails = tables(np.arange(1, max_size + 1)[:, None], np.arange(n_out + 1))
+    value, fails = tables(*_grid(max_size, n_out))
     _check_monotone(value, fails)
-    if mode == "exhaustive":
-        return _exhaustive(words, max_size, value, fails, exclude_self, stop_at_failure)
-    return _sampled(words, max_size, value, fails, exclude_self, budget, seed)
+    return _gather(mat, max_size, mode, budget, seed).read(value, fails, stop_at_failure)
 
 
 def bsc_check(
@@ -481,6 +502,25 @@ def bsc_check(
     )
 
 
+def _outside_ratio(n_in, size, nbrs):
+    """|N(X) - X|/|X| from the count |N(X) ∪ X| of the support of A + I."""
+    return (nbrs - size) / size
+
+
+def _magnifier_report(counts, n, max_size, mode) -> ConcentrationReport:
+    """The magnifier constant of an n-vertex graph read off ``counts``, the
+    gather of the support of its A + I."""
+    value = _value_table(_outside_ratio, n, n, max_size)
+    ratio, worst, checked, _ = counts.read(value, None, False)
+    return ConcentrationReport(
+        mode=mode,
+        worst_ratio=ratio,
+        worst_set=worst,
+        subsets_checked=checked,
+        verdict=ratio > 0,
+    )
+
+
 def magnifier_constant(
     g: Graph,
     mode: str = "exhaustive",
@@ -494,16 +534,25 @@ def magnifier_constant(
     max_size = g.n // 2
     if max_size < 1:
         raise VerifyError(f"graph on {g.n} vertices admits no eligible subsets")
-    ratio, worst, checked, _ = _scan(
-        g.adj, max_size, lambda size, nbrs: (nbrs / size, None), mode, budget, seed,
-        exclude_self=True,
-    )
+    _check_mode(g.n, mode, budget, seed)
+    counts = _gather(closed_neighborhoods(g), max_size, mode, budget, seed)
+    return _magnifier_report(counts, g.n, max_size, mode)
+
+
+def _expander_report(counts, n, c, max_size, mode) -> ConcentrationReport:
+    """The expansion check with constant c read off ``counts``, the gather of
+    an n x n incidence."""
+    size, nbrs = _grid(max_size, n)
+    fails = ~_expansion_holds(n, c, size, nbrs)
+    _check_monotone(None, fails)
+    value = _value_table(_largest_c, n, n, max_size)
+    best_c, best_set, checked, failed = counts.read(value, fails, False)
     return ConcentrationReport(
         mode=mode,
-        worst_ratio=ratio,
-        worst_set=worst,
+        worst_ratio=best_c,
+        worst_set=best_set,
         subsets_checked=checked,
-        verdict=ratio > 0,
+        verdict=not failed,
     )
 
 
@@ -527,21 +576,9 @@ def expander_check(
     n = X.n_in
     if n < 2:
         raise VerifyError(f"no input set A with 0 < |A| < n among {n} inputs")
-    best_c, best_set, checked, failed = _scan(
-        X.inc,
-        n // 2 if restrict_half else n,
-        lambda size, nbrs: (_largest_c(n, size, nbrs), ~_expansion_holds(n, c, size, nbrs)),
-        mode,
-        budget,
-        seed,
-    )
-    return ConcentrationReport(
-        mode=mode,
-        worst_ratio=best_c,
-        worst_set=best_set,
-        subsets_checked=checked,
-        verdict=not failed,
-    )
+    max_size = n // 2 if restrict_half else n
+    _check_mode(n, mode, budget, seed)
+    return _expander_report(_gather(X.inc, max_size, mode, budget, seed), n, c, max_size, mode)
 
 
 def _expansion_holds(n, c, size, nbrs):
@@ -571,10 +608,20 @@ def double_cover_harness(
 ) -> DoubleCoverReport:
     """Measure the magnifier constant c, then test the extended double cover as
     an expander with that same c (half-restricted).  A falsification harness:
-    the verdict is whatever the subset oracles report."""
-    mag = magnifier_constant(g, mode=mode, budget=budget, seed=seed)
-    cover = extended_double_cover(g)
-    exp = expander_check(
-        cover, mag.worst_ratio, restrict_half=True, mode=mode, budget=budget, seed=seed
-    )
+    the verdict is whatever the subset oracles report.
+
+    The cover's incidence A + I is the support the magnifier scans, and both
+    checks take |X| <= n/2, so one gather serves both reads (in sampled mode
+    both would draw the same subsets from ``seeded_rng(seed)``).  Every input
+    error is raised before the gather, with the message and in the order of
+    ``magnifier_constant`` followed by ``extended_double_cover``."""
+    n, max_size = g.n, g.n // 2
+    if max_size < 1:
+        raise VerifyError(f"graph on {n} vertices admits no eligible subsets")
+    _check_mode(n, mode, budget, seed)
+    if not g.is_simple():
+        raise GraphError("extended double cover needs a simple graph")
+    counts = _gather(closed_neighborhoods(g), max_size, mode, budget, seed)
+    mag = _magnifier_report(counts, n, max_size, mode)
+    exp = _expander_report(counts, n, mag.worst_ratio, max_size, mode)
     return DoubleCoverReport(magnifier=mag, expander=exp, passed=exp.verdict)

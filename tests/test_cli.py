@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,9 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
-from concentrators import fileio
-from concentrators.cli import _canonical_json, main
+from concentrators import fileio, verify
+from concentrators.cli import _canonical_json, _parse_args, build_parser, main
 from concentrators.fileio import save_graph
+from test_cli_golden import CASES as GOLDEN_CASES
 
 
 @pytest.fixture()
@@ -839,3 +842,83 @@ def test_one_subgroup_file_for_l_and_n_matches_two_copies(
         assert loads == [s3_file, *dict.fromkeys([str(L), str(N)])]
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
+
+
+# -- the single-pass parse against the full parser --------------------------------
+
+
+@pytest.mark.parametrize("argv", [case[2] for case in GOLDEN_CASES],
+                         ids=[case[0] for case in GOLDEN_CASES])
+def test_single_pass_parse_matches_the_full_parser(argv):
+    assert _parse_args(argv) == build_parser().parse_args(argv)
+
+
+def _parse_outcome(parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["bogus", "--graph", "g.txt"],
+        ["lemma11", "--graph", "g.txt", "--bogus"],
+        ["lemma11", "--graph", "g.txt", "extra"],
+        ["lemma11", "--graph", "g.txt", "--", "extra"],
+        ["lemma11"],
+        ["verify-bsc", "--graph", "g.txt", "--c", "1"],
+        ["lemma11", "--graph", "g.txt", "--budget", "0"],
+        ["lemma11", "--graph", "g.txt", "--mode", "fast"],
+        ["-h"],
+        ["--help"],
+        ["lemma11", "-h"],
+        ["lemma11", "--graph", "g.txt", "--help"],
+    ],
+    ids=["empty", "unknown-subcommand", "unknown-subcommand-with-options", "unknown-option",
+         "extra-positional", "extra-after-dashes", "missing-required", "missing-one-of-two",
+         "budget-0", "bad-choice", "top-h", "top-help", "lemma11-h", "lemma11-help"],
+)
+def test_bad_argv_gives_the_full_parsers_exit_and_text(argv):
+    want = _parse_outcome(build_parser().parse_args, argv)
+    assert want[0] in (0, 2)
+    assert _parse_outcome(_parse_args, argv) == want
+    assert _parse_outcome(main, argv) == want
+
+
+def _loop_graph_file(tmp_path, n):
+    """An n-vertex path with a loop at vertex 0."""
+    lines = [f"graph {n}", "0 0 1", *(f"{i} {i + 1} 1" for i in range(n - 1))]
+    path = tmp_path / f"loop{n}.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "n, extra, message",
+    [
+        (24, [], "error: extended double cover needs a simple graph"),
+        (24, ["--mode", "sampled", "--seed", "1"],
+         "error: extended double cover needs a simple graph"),
+        (24, ["--mode", "sampled"], "error: sampled mode requires an explicit seed"),
+        (25, [], "error: exhaustive mode capped at 24 inputs, got 25"),
+        (1, [], "error: graph on 1 vertices admits no eligible subsets"),
+    ],
+    ids=["loop24", "loop24-sampled", "loop24-no-seed", "loop25", "one-vertex"],
+)
+def test_lemma11_rejects_bad_graphs_before_any_scan(capsys, monkeypatch, tmp_path, n, extra,
+                                                    message):
+    def no_gather(*args):
+        raise AssertionError("gathered")
+
+    monkeypatch.setattr(verify, "_gather", no_gather)
+    code = main(["lemma11", "--graph", _loop_graph_file(tmp_path, n), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"

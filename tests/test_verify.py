@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
+from concentrators import verify
 from concentrators.designs import design_bipartite
+from concentrators.graphs import GraphError
 from concentrators.spectral import sym_eigenvalues, tanner_bound
 from concentrators.verify import (
     VerifyError,
@@ -657,3 +660,98 @@ def test_one_row_read_at_every_max_size(n_in):
     adj = np.triu((rng.random((n_in, n_in)) < 0.3).astype(np.int64), 1)
     for c in (1.0, 1.5):
         _check_one_row_scans(C.BipartiteGraph(inc), c, range(1, n_in + 1), adj + adj.T, inc)
+
+
+# -- lemma 11: one gather read twice against the two separate checks -------------
+
+
+def _harness_reference(g, **kw):
+    """The harness as two separate checks: the magnifier constant c of ``g``,
+    then the extended double cover as an expander with that c."""
+    mag = magnifier_constant(g, **kw)
+    exp = expander_check(C.extended_double_cover(g), mag.worst_ratio, restrict_half=True, **kw)
+    return mag, exp
+
+
+def _assert_harness_matches_reference(adj, **kw):
+    g = C.Graph(adj)
+    rep = double_cover_harness(g, **kw)
+    mag, exp = _harness_reference(g, **kw)
+    assert rep.magnifier == mag
+    assert rep.expander == exp
+    assert rep.passed is exp.verdict
+
+
+@st.composite
+def mixed_graphs(draw, min_n, max_n):
+    """A sparse graph (``sparse_graphs``) or a dense one with a drawn edge
+    probability, on ``min_n``..``max_n`` vertices."""
+    n = draw(st.integers(min_n, max_n))
+    if draw(st.booleans()):
+        return draw(sparse_graphs(n))
+    p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu((rng.random((n, n)) < p).astype(np.int64), 1)
+    return upper + upper.T
+
+
+@settings(max_examples=120, deadline=None)
+@given(adj=mixed_graphs(2, 12))
+def test_harness_matches_the_two_checks_on_one_row(adj):
+    _assert_harness_matches_reference(adj)
+
+
+@settings(max_examples=30, deadline=None)
+@given(adj=mixed_graphs(13, 20))
+def test_harness_matches_the_two_checks_on_the_kernel(adj):
+    _assert_harness_matches_reference(adj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(adj=mixed_graphs(2, 30), seed=st.integers(0, 2**40), budget=st.integers(1, 20))
+def test_harness_matches_the_two_checks_sampled(adj, seed, budget):
+    _assert_harness_matches_reference(adj, mode="sampled", budget=budget, seed=seed)
+
+
+def _loop_graph(n):
+    adj = cycle_graph(n).adj.copy()
+    adj[3, 3] = 1
+    return adj
+
+
+def _double_edge_graph(n):
+    adj = cycle_graph(n).adj.copy()
+    adj[0, 1] = adj[1, 0] = 2
+    return adj
+
+
+@pytest.mark.parametrize(
+    "adj, kw",
+    [
+        (_loop_graph(24), {}),
+        (_double_edge_graph(24), {}),
+        (_loop_graph(24), {"mode": "sampled", "seed": 1}),
+        (_loop_graph(24), {"mode": "sampled"}),
+        (_loop_graph(25), {}),
+        (np.ones((1, 1), dtype=np.int64), {}),
+        (np.zeros((1, 1), dtype=np.int64), {"mode": "bogus"}),
+        (_loop_graph(6), {"mode": "bogus"}),
+    ],
+    ids=["loop24", "double-edge24", "loop24-sampled", "loop24-no-seed", "loop25",
+         "one-vertex-loop", "one-vertex-bad-mode", "loop6-bad-mode"],
+)
+def test_harness_rejects_bad_input_before_any_gather(monkeypatch, adj, kw):
+    # The error of the two separate checks, in their order: the magnifier's
+    # own (which it raises before its gather), else the double cover's.
+    def no_gather(*args):
+        raise AssertionError("gathered")
+
+    monkeypatch.setattr(verify, "_gather", no_gather)
+    g = C.Graph(adj)
+    with pytest.raises((VerifyError, GraphError, AssertionError)) as first:
+        magnifier_constant(g, **kw)
+    if first.type is AssertionError:
+        with pytest.raises(GraphError) as first:
+            C.extended_double_cover(g)
+    with pytest.raises(first.type, match=f"^{re.escape(str(first.value))}$"):
+        double_cover_harness(g, **kw)
