@@ -25,6 +25,9 @@ from .permgroup import (
 )
 
 MAX_CLASSES = 60
+# Random combinations of the class matrices tried before giving up on
+# splitting their common eigenvectors.
+SPLIT_RETRIES = 8
 
 
 class CharacterError(ValueError):
@@ -78,9 +81,7 @@ def _class_matrices(G: FiniteGroup, classes, class_of) -> np.ndarray:
     return counts.reshape(r, r, r).transpose(0, 2, 1).astype(float)
 
 
-def character_table(
-    G: FiniteGroup, tol: float = 1e-8, seed: int = 0, retries: int = 8
-) -> CharacterTable:
+def character_table(G: FiniteGroup, tol: float = 1e-8) -> CharacterTable:
     """Compute the full complex character table of an enumerated group."""
     classes, class_of = _class_structure(G)
     r = len(classes)
@@ -90,9 +91,9 @@ def character_table(
     order = len(G)
     mats = _class_matrices(G, classes, class_of)
 
-    rng = seeded_rng(seed)
+    rng = seeded_rng(0)
     vecs = None
-    for _ in range(retries):
+    for _ in range(SPLIT_RETRIES):
         coeff = rng.standard_normal(r)
         T = np.tensordot(coeff, mats, axes=(0, 0))
         w, V = np.linalg.eig(T)
@@ -103,7 +104,7 @@ def character_table(
             vecs = V
             break
     if vecs is None:
-        raise CharacterError(f"degeneracy splitting failed after {retries} attempts")
+        raise CharacterError(f"degeneracy splitting failed after {SPLIT_RETRIES} attempts")
 
     rows = []
     for idx in range(r):
@@ -182,27 +183,26 @@ def dim_sum_DGH(
     supporting the coset-graph spectrum).  The two disagree in the limit
     H = {1}, which is why both are always reported side by side upstream.
     """
-    table = character_table(G) if table is None else table
-    mults = trivial_restriction_multiplicities(G, H, table)
-    trivial_idx = _trivial_irrep_index(table)
-    if variant == "paper":
-        return sum(d for d, m in zip(table.degrees, mults) if m == 0)
-    if variant == "support":
-        return sum(
-            d
-            for i, (d, m) in enumerate(zip(table.degrees, mults))
-            if m > 0 and i != trivial_idx
-        )
-    raise CharacterError(f"unknown variant {variant!r}")
+    sums = dim_sums_both(G, H, table)
+    if variant not in sums:
+        raise CharacterError(f"unknown variant {variant!r}")
+    return sums[variant]
 
 
 def dim_sums_both(
     G: FiniteGroup, H: FiniteGroup, table: CharacterTable | None = None
 ) -> dict[str, int]:
+    """Both readings of ``dim_sum_DGH``, keyed "paper" and "support"."""
     table = character_table(G) if table is None else table
+    mults = trivial_restriction_multiplicities(G, H, table)
+    trivial_idx = _trivial_irrep_index(table)
     return {
-        "paper": dim_sum_DGH(G, H, "paper", table),
-        "support": dim_sum_DGH(G, H, "support", table),
+        "paper": sum(d for d, m in zip(table.degrees, mults) if m == 0),
+        "support": sum(
+            d
+            for i, (d, m) in enumerate(zip(table.degrees, mults))
+            if m > 0 and i != trivial_idx
+        ),
     }
 
 

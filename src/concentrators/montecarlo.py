@@ -90,7 +90,6 @@ class TrialBatch:
     bound: float
     vacuous: bool
     violating_trials: tuple[int, ...]
-    flags: tuple[str, ...]
     top_values: tuple[float, ...] = ()
 
     def falsified(self) -> bool:
@@ -120,8 +119,8 @@ def product_multisets(
 class _Operators(NamedTuple):
     """One family of trial operators, built a stack at a time.
 
-    ``build(t0, idx)`` turns the (b, k) element-index array of draws t0,
-    t0 + 1, ... into the (b, n, n) stack of their operators.
+    ``build(idx)`` turns a (b, k) element-index array of draws into the
+    (b, n, n) stack of their operators.
     ``draw_bytes`` is what one drawn element gathers: each image row with the
     8-byte key its lookup builds (``_gather_bytes``).
     """
@@ -136,31 +135,28 @@ def _gather_bytes(G: FiniteGroup, rows: int) -> int:
     return rows * (G.rows[0].nbytes + 8)
 
 
-def _coset_stack(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each 0/1 coset adjacency of a (b, m, m) stack divided by its max row
-    sum, and whether it is regular."""
-    adj = adj.astype(float)
-    sums = adj.sum(axis=2)
-    regular = np.all(sums == sums[:, :1], axis=1)
-    return adj / sums.max(axis=1)[:, None, None], regular
+def _coset_stack(adj: np.ndarray) -> np.ndarray:
+    """Each 0/1 coset adjacency of a (b, m, m) stack divided by its degree.
+
+    G permutes the cosets transitively by right multiplication and keeps
+    adjacency (Hb = H s h a exactly when Hbg = H s h ag), so every coset graph
+    is regular and its first row sum is its degree."""
+    return adj / adj[:, :1].sum(axis=2)[:, :, None]
 
 
 def _cayley_operators(G: FiniteGroup) -> _Operators:
-    def build(t0, idx):
+    def build(idx):
         A = cayley_counts(G, idx)
         return (A + A.transpose(0, 2, 1)) / (2.0 * idx.shape[1])
 
     return _Operators(len(G), _gather_bytes(G, len(G)), build)
 
 
-def _coset_operators(G: FiniteGroup, H: FiniteGroup, flags: list) -> _Operators:
+def _coset_operators(G: FiniteGroup, H: FiniteGroup) -> _Operators:
     cosets = CosetGraphs(G, H)
 
-    def build(t0, idx):
-        stack, regular = _coset_stack(cosets.adjacency(idx))
-        for i in np.flatnonzero(~regular):
-            flags.append(f"trial {t0 + i}: non-regular coset graph, normalized by max degree")
-        return stack
+    def build(idx):
+        return _coset_stack(cosets.adjacency(idx))
 
     return _Operators(len(cosets), _gather_bytes(G, len(cosets) * len(H)), build)
 
@@ -169,7 +165,7 @@ def _gram_operators(G: FiniteGroup, L: FiniteGroup, N: FiniteGroup) -> _Operator
     """Scaled input-side Grams A A^T / (2k^2) of the bi-coset graphs."""
     bicosets = BicosetGraphs(G, L, N)
 
-    def build(t0, idx):
+    def build(idx):
         A = bicosets.incidence(idx).astype(float)
         k = idx.shape[1]
         return A @ A.transpose(0, 2, 1) / (2.0 * k * k)
@@ -182,17 +178,17 @@ def cayley_operator(G: FiniteGroup, S: tuple[Permutation, ...]) -> np.ndarray:
     """Normalized multigraph adjacency (1/2|S|) * sum_s (R(s) + R(s)^T)."""
     if not S:
         raise MonteCarloError("S must be nonempty")
-    return _cayley_operators(G).build(0, G.lookup(G.rows_of(S))[None])[0]
+    return _cayley_operators(G).build(G.lookup(G.rows_of(S))[None])[0]
 
 
 def _normalized_coset_matrix(G, H, S) -> tuple[np.ndarray, bool]:
-    """0/1 coset adjacency (loops on the diagonal) divided by its row sum.
+    """0/1 coset adjacency (loops on the diagonal) divided by its degree.
 
-    Returns (matrix, regular); a non-regular instance is divided by the max
-    row sum instead.
+    Returns (matrix, True): the graph is always regular (``_coset_stack``),
+    and the pair stays because ``perfbench/record.py`` reads the matrix as
+    item 0.
     """
-    stack, regular = _coset_stack(coset_graph(G, H, S).adj[None])
-    return stack[0], bool(regular[0])
+    return _coset_stack(coset_graph(G, H, S).adj[None])[0], True
 
 
 def _product_indices(order: int, k: int, t0: int, t1: int) -> np.ndarray:
@@ -236,17 +232,16 @@ def _spectra(operators: _Operators, k: int, count: int, draws, threshold: float)
     top: list[float] = []
     arbitrated: dict[bytes, tuple[float, float]] = {}
     for t0 in range(0, count, size):
-        stack = operators.build(t0, draws(t0, min(count, t0 + size)))
+        stack = operators.build(draws(t0, min(count, t0 + size)))
         _solve_stack(stack, threshold, mu, top, arbitrated)
     return mu, top
 
 
-def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operators, flags=()):
+def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operators):
     """One batch: validate, evaluate the bound, draw trial t's multiset from
     ``seeded_rng(seed, t)``, solve the operators of ``make_operators()`` and
     record the tail.  ``subgroups`` is () for thm14, (H,) for thm15 and (L, N)
-    for thm18; the first one's cosets index the operator.  The operators may
-    append to ``flags`` while they are built."""
+    for thm18; the first one's cosets index the operator."""
     if variant == "thm18":
         if k < 2:
             raise MonteCarloError(f"bi-coset trials need k >= 2, got {k}")
@@ -264,24 +259,19 @@ def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operato
             else "coset space needs at least 2 cosets for mu*"
         )
     table = character_table(G) if table is None else table
-    if subgroups:
-        sums = dim_sums_both(G, subgroups[0], table)
-        tb, tb_support = [
-            bound_eval(BoundInputs(D_value=sums[kind], k=k, eps=eps, variant=variant))
-            for kind in ("paper", "support")
-        ]
-        bounds = (("paper", tb.bound), ("support", tb_support.bound))
-        bound = max(tb.bound, tb_support.bound)
-        vacuous = bound >= 1.0
-    else:
-        tb = bound_eval(BoundInputs(D_value=dim_sum_D(G, table), k=k, eps=eps, variant=variant))
-        bounds, bound, vacuous = (("D", tb.bound),), tb.bound, tb.vacuous
+    sums = dim_sums_both(G, subgroups[0], table) if subgroups else {"D": dim_sum_D(G, table)}
+    bounds = []
+    for kind, D in sums.items():
+        tb = bound_eval(BoundInputs(D_value=D, k=k, eps=eps, variant=variant))
+        bounds.append((kind, tb.bound))
+    bound = max(b for _, b in bounds)
+    threshold = tb.threshold  # the same for every kind: variant, k and eps set it
 
     def draws(t0, t1):
         return seeded_indices(seed, t0, t1, len(G), k)
 
-    mu_values, top_values = _spectra(operators, k, trials, draws, tb.threshold)
-    violating = tuple(i for i, mu in enumerate(mu_values) if mu > tb.threshold)
+    mu_values, top_values = _spectra(operators, k, trials, draws, threshold)
+    violating = tuple(i for i, mu in enumerate(mu_values) if mu > threshold)
     return TrialBatch(
         variant=variant,
         group=G.label(),
@@ -290,14 +280,13 @@ def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operato
         eps=eps,
         trials=trials,
         seed=seed,
-        threshold=tb.threshold,
+        threshold=threshold,
         mu_values=tuple(mu_values),
         empirical_tail=len(violating) / trials,
-        bounds=bounds,
+        bounds=tuple(bounds),
         bound=bound,
-        vacuous=vacuous,
+        vacuous=bound >= 1.0,
         violating_trials=violating,
-        flags=tuple(flags),
         # the scaling caps the bi-Cayley Gram's top eigenvalue at 1/2
         top_values=tuple(top_values) if variant == "thm18" else (),
     )
@@ -326,10 +315,9 @@ def run_coset_trials(
     seed: int,
     table: CharacterTable | None = None,
 ) -> TrialBatch:
-    """Random coset graphs on [G:H], normalized by their (asserted) regular degree."""
-    flags = []
+    """Random coset graphs on [G:H], normalized by their degree."""
     return _run_trials(
-        "thm15", G, (H,), k, eps, trials, seed, table, lambda: _coset_operators(G, H, flags), flags
+        "thm15", G, (H,), k, eps, trials, seed, table, lambda: _coset_operators(G, H)
     )
 
 
@@ -380,7 +368,7 @@ def enumerate_coset_tail(
     G: FiniteGroup, H: FiniteGroup, k: int, eps: float, cap: int = ENUMERATION_CAP
 ) -> tuple[float, int]:
     """Exact coset-graph tail over all |G|^k ordered draws."""
-    return _enumerated_tail(G, k, eps, cap, lambda: _coset_operators(G, H, []))
+    return _enumerated_tail(G, k, eps, cap, lambda: _coset_operators(G, H))
 
 
 def shifted_product_spectrum_matches(
@@ -391,16 +379,15 @@ def shifted_product_spectrum_matches(
     With trivial subgroups and distinct elements in S, the spectrum of
     A A^T / (2k^2) must equal the normalized adjacency spectrum of the Cayley
     graph on B* = SS^{-1} minus identities, mapped through
-    nu -> ((k^2-k) nu + k) / (2k^2).  Returns None when the diagonal condition
-    fails (repeated draws), True/False otherwise.
+    nu -> ((k^2-k) nu + k) / (2k^2).  Returns None when k < 2 or S repeats an
+    element, True/False otherwise.  Distinct elements give diag(A A^T) = k:
+    each s joins g to a different sg.
     """
     k = len(S)
     if k < 2 or len(set(S)) != k:
         return None
     A = bicayley_graph(G, S).inc.astype(float)
     M = A @ A.T / (2.0 * k * k)
-    if not np.all(np.diag(A @ A.T) == k):
-        return None
     _, b_star = product_multisets(S)
     op = cayley_operator(G, b_star)
     nu = np.array(sym_eigenvalues(op).eigenvalues)

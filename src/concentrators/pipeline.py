@@ -22,7 +22,7 @@ from .graphs import (
     coset_graph,
     Graph,
 )
-from .permgroup import FiniteGroup, Permutation, closure, compose, inverse, trivial_group
+from .permgroup import FiniteGroup, Permutation, compose, inverse, trivial_group
 from .spectral import (
     SpectralError,
     laplacian_gap,
@@ -75,17 +75,16 @@ def bicoset_concentrator_report(
     s_prime = tuple(compose(s, l) for s in s_ext for l in L.elements)
 
     X = bicoset_graph(G, L, trivial_group(G.degree), s_prime)
-    in_deg = X.in_degrees()
-    out_deg = X.out_degrees()
-    if not np.all(in_deg == in_deg[0]) or not np.all(out_deg == out_deg[0]):
-        raise PipelineError("bi-coset graph is not biregular; cannot continue")
+    # X is biregular: input Lg has the |S'| edges to s'g, and output h has one
+    # edge per s in S u {1}, from the one l in L that makes (sl)^-1 h the
+    # least element of its L-coset.
+    in_deg, out_deg = len(s_prime), len(s_ext)
 
     comp_count, _ = connected_components(X)
     connected = comp_count == 1
-    s_inv_s = tuple(
-        compose(inverse(a), b) for a in s_prime for b in s_prime
-    )
-    generates = len(closure(G.degree, tuple(set(s_inv_s)))) == len(G)
+    # Outputs h, h' share an input exactly when h' h^-1 is in S' S'^-1, as
+    # S' L = S'.  S' holds 1, so S' S'^-1 and S'^-1 S' both generate <S'>.
+    generates = connected
     if not connected:
         warnings.append(
             "bi-coset graph is disconnected; the product multiset does not generate the group"
@@ -114,9 +113,7 @@ def bicoset_concentrator_report(
     alpha = X.n_out / X.n_in
     tanner: float | None
     try:
-        tanner = tanner_bound(
-            X.n_in, X.n_out, float(in_deg[0]), float(out_deg[0]), second, alpha
-        )
+        tanner = tanner_bound(X.n_in, X.n_out, float(in_deg), float(out_deg), second, alpha)
     except SpectralError as exc:
         tanner = None
         warnings.append(f"concentration constant unavailable: {exc}")
@@ -124,8 +121,8 @@ def bicoset_concentrator_report(
     return PipelineReport(
         n_in=X.n_in,
         n_out=X.n_out,
-        input_degree=int(in_deg[0]),
-        output_degree=int(out_deg[0]),
+        input_degree=in_deg,
+        output_degree=out_deg,
         connected=connected,
         generates=generates,
         magnifier=mag,

@@ -74,14 +74,14 @@ def _check_symmetric(M: np.ndarray, tol: float) -> np.ndarray:
 
 
 def jacobi_eigensystem(
-    M: np.ndarray, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS
+    M: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
 
     Returns ``(w, V, residual)`` with eigenvalues ``w`` sorted descending,
     orthogonal ``V`` whose columns match ``w`` (so ``V @ diag(w) @ V.T == M``
     up to the residual), and the off-diagonal Frobenius norm at termination.
-    Raises if the target relative off-norm is not reached in ``max_sweeps``.
+    Raises if the target relative off-norm is not reached in ``MAX_SWEEPS``.
     """
     A = _check_symmetric(M, tol)
     if A.ndim != 2:
@@ -96,7 +96,7 @@ def jacobi_eigensystem(
     target = tol * norm
     # Rotations below this size cannot push the off-norm above target.
     skip = target / (n * n)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         if _offdiag_norm(A) <= target:
             break
         for p in range(n - 1):
@@ -122,7 +122,7 @@ def jacobi_eigensystem(
     residual = _offdiag_norm(A)
     if residual > target:
         raise SpectralError(
-            f"Jacobi iteration did not converge within {max_sweeps} sweeps "
+            f"Jacobi iteration did not converge within {MAX_SWEEPS} sweeps "
             f"(off-norm {residual:.3e} > {target:.3e})"
         )
     w = np.diag(A).copy()

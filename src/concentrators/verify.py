@@ -15,10 +15,10 @@ counts of the eligible subsets once; its ``read(value, fails,
 stop_at_failure)`` reduces them through one pair of tables.  ``lemma11``'s
 magnifier and the expander check of its extended double cover scan the same
 support with the same ``max_size`` of n/2, so ``double_cover_harness`` reads
-both answers off one gather.  Their ``value`` tables depend only on the shape
+both answers off one gather.  Every ``value`` table depends only on the shape
 (n_in, n_out, max_size), so each is built, checked and cached read-only once
-per shape (``_value_table``); only the expander's ``fails`` table, which
-depends on the claimed constant, is built per call.
+per shape (``_value_table``); only the bsc and expander ``fails`` tables,
+which depend on the claimed constant, are built per call.
 
 Both tables must be monotone in |N(X)| at a fixed |X|: ``value`` never
 decreases and ``fails`` never turns from False to True as |N(X)| grows, and
@@ -414,8 +414,8 @@ def _check_mode(n_in, mode, budget, seed) -> None:
 def _gather(mat, max_size, mode, budget, seed):
     """The neighbor counts of the input sets of at most ``max_size`` rows of
     ``mat`` (mode already checked): a ``_Sampled``, ``_OneRow`` or
-    ``_Kernel``, whose ``read(value, fails, stop_at_failure)`` gives what
-    ``_scan`` gives."""
+    ``_Kernel``, whose ``read(value, fails, stop_at_failure)`` gives (least
+    value, its witness, subsets checked, whether a subset failed)."""
     words = _neighbor_words(mat)
     if mode == "sampled":
         return _Sampled(words, max_size, budget, seed)
@@ -450,22 +450,6 @@ def _value_table(ratio, n_in, n_out, max_size) -> np.ndarray:
     return _read_only(value)[0]
 
 
-def _scan(mat, max_size, tables, mode, budget, seed, stop_at_failure=False):
-    """(least value, its witness, subsets checked, whether a subset failed)
-    over the input sets of at most ``max_size`` rows of ``mat``.
-
-    ``tables(sizes, nbrs)`` gives ``value`` and ``fails`` (or None) on the
-    ``_grid``; both must be monotone in the neighbor count
-    (``_check_monotone``).  ``stop_at_failure`` ends an exhaustive scan at its
-    first failing subset."""
-    n_in, n_out = np.shape(mat)
-    _check_mode(n_in, mode, budget, seed)
-    max_size = min(max_size, n_in)
-    value, fails = tables(*_grid(max_size, n_out))
-    _check_monotone(value, fails)
-    return _gather(mat, max_size, mode, budget, seed).read(value, fails, stop_at_failure)
-
-
 def bsc_check(
     X: BipartiteGraph,
     alpha: float,
@@ -484,15 +468,13 @@ def bsc_check(
     max_size = int(alpha * X.n_in + 1e-9)
     if max_size < 1:
         raise VerifyError(f"alpha={alpha} admits no nonempty subsets of {X.n_in} inputs")
-    ratio, worst, checked, _ = _scan(
-        X.inc,
-        max_size,
-        lambda size, nbrs: (nbrs / size, nbrs < c * size - 1e-12 * size),
-        mode,
-        budget,
-        seed,
-        stop_at_failure=True,
-    )
+    _check_mode(X.n_in, mode, budget, seed)
+    size, nbrs = _grid(max_size, X.n_out)
+    fails = nbrs < c * size - 1e-12 * size
+    _check_monotone(None, fails)
+    value = _value_table(_bsc_ratio, X.n_in, X.n_out, max_size)
+    counts = _gather(X.inc, max_size, mode, budget, seed)
+    ratio, worst, checked, _ = counts.read(value, fails, stop_at_failure=True)
     return ConcentrationReport(
         mode=mode,
         worst_ratio=ratio,
@@ -500,6 +482,11 @@ def bsc_check(
         subsets_checked=checked,
         verdict=ratio >= c - 1e-12,
     )
+
+
+def _bsc_ratio(n_in, size, nbrs):
+    """|N(X)|/|X|."""
+    return nbrs / size
 
 
 def _outside_ratio(n_in, size, nbrs):

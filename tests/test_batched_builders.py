@@ -18,11 +18,9 @@ from concentrators.montecarlo import (
     run_cayley_trials,
     run_coset_trials,
 )
-from concentrators.permgroup import Permutation, closure, from_cycles, seeded_rng
+from concentrators.permgroup import Permutation, closure
 
 import oracles
-
-NON_REGULAR = "non-regular coset graph, normalized by max degree"
 
 
 @st.composite
@@ -66,25 +64,23 @@ def test_batched_stacks_match_per_trial_references(groups, data):
     els, h_els, n_els = images(G), images(H), images(N)
     k = idx.shape[1]
 
-    cayley = _cayley_operators(G).build(0, idx)
-    flags = []
-    coset = _coset_operators(G, H, flags).build(5, idx)
-    gram = _gram_operators(G, H, N).build(0, idx)
+    cayley = _cayley_operators(G).build(idx)
+    coset = _coset_operators(G, H).build(idx)
+    gram = _gram_operators(G, H, N).build(idx)
 
-    expected_flags = []
     for t, row in enumerate(idx):
         S = multiset(G, row)
         assert np.array_equal(cayley[t], np.array(oracles.cayley_operator(els, S)))
 
+        # every coset graph is regular, which the builder's normalization assumes
         adj = np.array(oracles.coset_adjacency(els, h_els, S), dtype=float)
-        sums = adj.sum(axis=1)
-        assert np.array_equal(coset[t], adj / sums.max())
-        if len(set(sums.tolist())) > 1:
-            expected_flags.append(f"trial {5 + t}: {NON_REGULAR}")
+        sums = set(adj.sum(axis=1).tolist())
+        assert len(sums) == 1
+        degree = sums.pop()
+        assert np.array_equal(coset[t], adj / degree)
 
         A = np.array(oracles.bicoset_incidence(els, h_els, n_els, S), dtype=float)
         assert np.array_equal(gram[t], A @ A.T / (2.0 * k * k))
-    assert flags == expected_flags
     # the repeated draw gives the same operator, bit for bit
     for stack in (cayley, coset, gram):
         assert stack[-1].tobytes() == stack[0].tobytes()
@@ -123,33 +119,6 @@ def test_split_stacks_match_unsplit(groups, k, seed, chunk_bytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "SOLVE_CHUNK_BYTES", chunk_bytes)
         assert results() == whole
-
-
-def test_non_regular_flags_keep_trial_order_across_stacks(s4, monkeypatch):
-    # Coset graphs of a subgroup are regular, so a stand-in adjacency gives
-    # the flags something to report: trials whose first draw is odd get a
-    # path (non-regular), the others a triangle.
-    path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    triangle = 1 - np.eye(3, dtype=np.int64)
-
-    class StandIn:
-        def __init__(self, G, H):
-            pass
-
-        def __len__(self):
-            return 3
-
-        def adjacency(self, idx):
-            return np.stack([path if row[0] % 2 else triangle for row in idx])
-
-    monkeypatch.setattr(montecarlo, "CosetGraphs", StandIn)
-    swap4 = closure(4, [from_cycles([(0, 1)], 4)], name="swap4")
-    whole = run_coset_trials(s4, swap4, k=3, eps=0.5, trials=40, seed=8)
-    odd = [t for t in range(40) if seeded_rng(8, t).integers(0, 24, size=3)[0] % 2]
-    assert 0 < len(odd) < 40
-    assert whole.flags == tuple(f"trial {t}: {NON_REGULAR}" for t in odd)
-    monkeypatch.setattr(montecarlo, "SOLVE_CHUNK_BYTES", 3 * 3 * 3 * 8)
-    assert run_coset_trials(s4, swap4, k=3, eps=0.5, trials=40, seed=8) == whole
 
 
 def _peak_mib(run):

@@ -26,6 +26,8 @@ from concentrators.permgroup import (
     trivial_group,
 )
 
+import oracles
+
 
 def plus(z, k):
     n = z.degree
@@ -172,8 +174,13 @@ def test_shifted_product_spectrum_consistency(z5, z6):
             S = sample_multiset(G, 3, seed)
             result = shifted_product_spectrum_matches(G, S)
             if result is None:
+                assert len(set(S)) < len(S)
                 skipped += 1
             else:
+                # distinct elements give the diagonal the spectrum map needs
+                els, one = [p.images for p in G.elements], [tuple(range(G.degree))]
+                A = np.array(oracles.bicoset_incidence(els, one, one, [s.images for s in S]))
+                assert np.all(np.diag(A @ A.T) == len(S))
                 assert result is True
                 checked += 1
     assert checked >= 5  # distinct-element draws dominate

@@ -1,7 +1,19 @@
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from concentrators.pipeline import PipelineError, bicoset_concentrator_report
-from concentrators.permgroup import closure, from_cycles, trivial_group
+from concentrators.permgroup import (
+    Permutation,
+    closure,
+    compose,
+    from_cycles,
+    inverse,
+    trivial_group,
+)
+
+import oracles
 
 
 def test_pipeline_s4_full_report(s4):
@@ -39,3 +51,37 @@ def test_pipeline_identity_multiset_warns(s3):
 def test_pipeline_rejects_empty_multiset(s3):
     with pytest.raises(PipelineError):
         bicoset_concentrator_report(s3, trivial_group(3), ())
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """A group G of degree 2-4, a subgroup L and a multiset S of 1-3 elements."""
+    degree = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    G = closure(degree, [Permutation(tuple(g)) for g in gens])
+    element = st.sampled_from(G.elements)
+    L = closure(degree, draw(st.lists(element, max_size=2)))
+    S = tuple(draw(st.lists(element, min_size=1, max_size=3)))
+    return G, L, S
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipeline_inputs())
+def test_pipeline_biregular_and_connected_iff_generating(inputs):
+    # The pipeline reads its degrees off S' = (S u {1})L and takes `generates`
+    # to be `connected`; the per-element references check both readings.
+    G, L, S = inputs
+    assume(len(G) > len(L))  # the coset graph's Laplacian gap needs two cosets
+    report = bicoset_concentrator_report(G, L, S)
+    s_prime = [compose(s, l) for s in S + (G.identity(),) for l in L.elements]
+
+    els = [g.images for g in G.elements]
+    one = [tuple(range(G.degree))]
+    inc = np.array(oracles.bicoset_incidence(els, [l.images for l in L.elements], one,
+                                             [s.images for s in s_prime]))
+    assert set(inc.sum(axis=1).tolist()) == {len(s_prime)} == {report.input_degree}
+    assert set(inc.sum(axis=0).tolist()) == {len(S) + 1} == {report.output_degree}
+
+    s_inv_s = sorted({compose(inverse(a), b).images for a in s_prime for b in s_prime})
+    generates = len(oracles.closure(G.degree, s_inv_s, len(G))) == len(G)
+    assert report.connected == report.generates == generates

@@ -581,19 +581,18 @@ def test_refutation_at_size_one_leaves_no_complete_size():
 
 @pytest.mark.parametrize("which", ["value", "fails"])
 def test_non_monotone_table_raises(which):
-    from concentrators.verify import _scan
+    from concentrators.verify import _check_monotone, _grid
 
-    def tables(size, nbrs):
-        value = nbrs / size
-        fails = nbrs < size
-        if which == "value":
-            return -value, fails  # decreases as |N| grows
-        return value, ~fails  # turns true as |N| grows
-
+    size, nbrs = _grid(2, 3)
+    value = nbrs / size
+    fails = nbrs < size
+    _check_monotone(value, fails)
+    if which == "value":
+        value = -value  # decreases as |N| grows
+    else:
+        fails = ~fails  # turns true as |N| grows
     with pytest.raises(VerifyError, match="as |N| grows"):
-        _scan(k33().inc, 2, tables, "exhaustive", 1000, None)
-    with pytest.raises(VerifyError, match="as |N| grows"):
-        _scan(k33().inc, 2, tables, "sampled", 5, 1)
+        _check_monotone(value, fails)
 
 
 # -- the one-row read (up to 12 inputs; refuted bsc scans up to 16) ------------
