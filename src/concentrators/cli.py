@@ -201,11 +201,10 @@ def _cmd_design(args) -> int:
         d = designs.golay_witt_design()
         source = "golay"
     elif args.mathieu is not None:
-        chain = designs.mathieu12_designs()
         by_points = {12: 0, 11: 1, 10: 2, 9: 3}
         if args.mathieu not in by_points:
             raise fileio.FormatError("--mathieu expects one of 12, 11, 10, 9")
-        d = chain[by_points[args.mathieu]]
+        d = designs.mathieu12_designs()[by_points[args.mathieu]]
         source = f"mathieu{args.mathieu}"
     elif args.infile:
         if args.t is None or args.gamma is None:
@@ -324,18 +323,30 @@ def _cmd_lemma11(args) -> int:
     return 0 if report.passed else 1
 
 
+# The subgroup options each montecarlo variant reads, and the error when one
+# is missing; both checks run before any file is read.
+_MONTECARLO_READS = {
+    "thm14": ((), ""),
+    "thm15": (("L",), "thm15 needs --L (the subgroup)"),
+    "thm18": (("L", "N"), "thm18 needs --L and --N"),
+}
+
+
 def _cmd_montecarlo(args) -> int:
+    reads, missing = _MONTECARLO_READS[args.variant]
+    unread = [f"--{name}" for name in ("L", "N") if name not in reads and getattr(args, name)]
+    if unread:
+        raise fileio.FormatError(f"montecarlo --variant {args.variant} does not read "
+                                 f"{', '.join(unread)}")
+    if not all(getattr(args, name) for name in reads):
+        raise fileio.FormatError(missing)
     G = fileio.load_group(args.group)
     if args.variant == "thm14":
         batch = montecarlo.run_cayley_trials(G, args.k, args.eps, args.trials, args.seed)
     elif args.variant == "thm15":
-        if not args.L:
-            raise fileio.FormatError("thm15 needs --L (the subgroup)")
         H = fileio.load_group(args.L)
         batch = montecarlo.run_coset_trials(G, H, args.k, args.eps, args.trials, args.seed)
     else:
-        if not (args.L and args.N):
-            raise fileio.FormatError("thm18 needs --L and --N")
         L, N = _load_subgroups(args.L, args.N)
         batch = montecarlo.run_bicoset_trials(
             G, L, N, args.k, args.eps, args.trials, args.seed

@@ -51,16 +51,13 @@ lexicographic rank across sizes; the eligible subsets for any max_size are a
 prefix).  Its counts give ``value`` and ``fails`` per subset, and the witness
 is the attaining subset of least lexicographic rank.
 
-A bsc scan stops at its first refutation, by a rule that depends on the
-number of inputs alone.  Below ``_CHUNK_EXIT_MIN_INPUTS`` it stops right
-after the first failing subset in (size, lexicographic) order, as a loop over
-``itertools.combinations`` would, and ``_OneRow`` alone reads that order:
-from 13 inputs the kernel's table gives the least size with a failing cell,
-no smaller subset fails, and ``_OneRow`` scans up to that size.  From
-``_CHUNK_EXIT_MIN_INPUTS`` inputs the scan covers every eligible mask up to
-the end of the chunk [1 + k*2^18, 1 + (k+1)*2^18) that holds the numerically
-least failing mask, found by re-expanding the failing cells of the least
-failing high mask, and the answers are read from the table.
+A bsc scan stops right after its first failing subset in (size,
+lexicographic) order, as a loop over ``itertools.combinations`` would.
+``_OneRow`` reads that order directly.  The kernel reads it off the cell
+table: the least size s with a failing cell holds the first failing subset,
+the lexicographically least failing member of those cells, and the scan
+covers every smaller size and the subsets of size s up to that one, whose
+lexicographic rank among them has a closed form.
 
 Sampled mode (``_Sampled``) draws ``budget`` random subsets per size, reduces
 them with the same tables, and can only refute a claimed constant, never
@@ -82,12 +79,7 @@ EXHAUSTIVE_CAP = 24
 # The kernel's low half has this many bits; with at most this many inputs the
 # high half is empty and the scan reads the kernel's one row (``_OneRow``).
 _LO_BITS = 12
-# A refuted bsc scan from this many inputs stops at the end of the chunk
-# [1 + k*_CHUNK, 1 + (k+1)*_CHUNK) that holds its numerically least failing
-# subset; below it, right after its first failing subset in (size,
-# lexicographic) order, which ``_OneRow`` reads.  _CHUNK also bounds the
-# elements of one kernel block.
-_CHUNK_EXIT_MIN_INPUTS = 17
+# The most elements of one kernel block.
 _CHUNK = 1 << 18
 
 
@@ -188,7 +180,7 @@ class _Kernel:
     """Neighbor counts |N(X)| of the subsets of at most ``max_size`` of
     _LO_BITS < n_in <= 24 inputs.
 
-    A subset is a high mask (its inputs from ``lo_bits`` on) and a low mask,
+    A subset is a high mask (its inputs from ``_LO_BITS`` on) and a low mask,
     each half in ``_popcount_order``: row i is the high mask ``hi[i]``, column
     j the low mask ``lo[j]``, and cell (i, q) holds the subsets of row i whose
     low half has q elements, the columns ``lo_starts[q]:lo_starts[q + 1]``.
@@ -198,15 +190,14 @@ class _Kernel:
     """
 
     def __init__(self, words, max_size):
-        self.words, self.max_size = words, max_size
-        self.n_in = len(words)
-        (self.lo_bits, self.lo, self.lo_pop, self.lo_starts, self.hi, self.hi_pop, _,
-         self.hi_masks, self.sizes) = _layout(self.n_in)
-        lb = self.lo_bits
+        self.words, self.n_in = words, len(words)
+        lb, self.lo, self.lo_pop, _, hi, self.hi_pop, _, self.hi_masks, self.sizes = _layout(
+            self.n_in
+        )
         self.tables = [
-            (_union_table(col[:lb])[self.lo], _union_table(col[lb:])[self.hi]) for col in words.T
+            (_union_table(col[:lb])[self.lo], _union_table(col[lb:])[hi]) for col in words.T
         ]
-        self.least = np.zeros((len(self.hi), self.lo_bits + 1), dtype=np.intp)
+        self.least = np.zeros((len(hi), lb + 1), dtype=np.intp)
         self.ncols, blocks, self.count = _walk(self.n_in, max_size)
         for rows, ncols, groups in blocks:
             unions = self._unions(rows, ncols)
@@ -239,44 +230,40 @@ class _Kernel:
             yield (self.hi_masks[block, None] | lo)[keep], sizes, unions
 
     def read(self, value, fails, stop_at_failure):
-        """The least (value, witness) over every eligible subset, read off the
-        least count per cell (``value``/``fails`` are monotone in |N|), or by
-        ``_OneRow`` for a refuted bsc scan below ``_CHUNK_EXIT_MIN_INPUTS``."""
+        """The least (value, witness) over the scanned subsets, read off the
+        least count per cell (``value``/``fails`` are monotone in |N|).  A
+        scan that stops at its first failure covers the sizes below the least
+        failing size and that size's subsets up to the first failing one."""
         n_in, sizes = self.n_in, self.sizes
         size_value = _size_rows(value, n_in, np.inf)
         cell_value = size_value[sizes, self.least]
-        failed = False
+        failed, checked, best = False, self.count, []
         if fails is not None:
             size_fails = _size_rows(fails, n_in, False)
             cell_fails = size_fails[sizes, self.least]
             failed = bool(cell_fails.any())
-        if not (failed and stop_at_failure):
-            checked = self.count
-        elif n_in < _CHUNK_EXIT_MIN_INPUTS:
-            # No subset below the least failing size fails, so the scan in
-            # (size, lexicographic) order stops inside that size.
+        if failed and stop_at_failure:
             size = int(sizes[cell_fails].min())
-            return _OneRow(self.words, size).read(value, fails, True)
+            # every block of failing cells holds a failing subset
+            first = min((_lex_least(masks[size_fails[size, counts]])
+                         for masks, _, counts in self.members(cell_fails & (sizes == size))),
+                        key=_lex_key)
+            # Of the subsets of this size, sum_i C(n_in - 1 - c_i, size - i)
+            # come after c_0 < c_1 < ... in lexicographic order.
+            elems = _mask_to_set(first)
+            after = sum(math.comb(n_in - 1 - c, size - i) for i, c in enumerate(elems))
+            checked = sum(math.comb(n_in, j) for j in range(1, size + 1)) - after
+            # The scanned subsets of this size before ``first`` pass, so they
+            # have more neighbors and (bsc's ratio rising with |N|) a larger
+            # value: the witness is ``first`` or in a smaller cell.
+            count = int(np.bitwise_count(np.bitwise_or.reduce(self.words[list(elems)])).sum())
+            first_value = size_value[size, count]
+            cell_value = np.where(sizes < size, cell_value, np.inf)
+            low = min(cell_value.min(), first_value)
+            if first_value == low:
+                best.append(first)
         else:
-            # The numerically least failing subset is in the failing cells of
-            # the least failing high mask, and the scan ends with its chunk,
-            # whose last mask has no low bits; it covers the cells of
-            # ``region`` in full.
-            rows = np.flatnonzero(cell_fails.any(axis=1))
-            row = rows[np.argmin(self.hi[rows])]
-            cells = np.zeros_like(cell_fails)
-            cells[row] = cell_fails[row]
-            masks, s, counts = next(self.members(cells))
-            first = int(masks[size_fails[s, counts]].min())
-            last = ((first - 1) // _CHUNK + 1) * _CHUNK
-            region = (sizes >= 1) & (sizes <= self.max_size)
-            if last < 1 << n_in:
-                hi, top = self.hi[:, None], last >> self.lo_bits
-                region &= (hi < top) | ((hi == top) & (sizes == self.hi_pop[:, None]))
-            checked = int((np.diff(self.lo_starts) * region).sum())
-            cell_value = np.where(region, cell_value, np.inf)
-        low = cell_value.min()
-        best = []
+            low = cell_value.min()
         for masks, s, counts in self.members(cell_value == low):
             masks = masks[size_value[s, counts] == low]
             if masks.size:
@@ -311,12 +298,11 @@ def _lex_least(cands: np.ndarray) -> int:
 
 @functools.cache
 def _row_order(n_in):
-    """The nonempty subsets of n_in < _CHUNK_EXIT_MIN_INPUTS inputs (up to
-    _LO_BITS, the kernel's one row), cached per input count: their masks in
-    (size, lexicographic) order, which is ``itertools.combinations`` size by
-    size, their sizes, each one's rank in the lexicographic order of index
-    tuples across sizes, and, for each k from 0 to n_in, how many of them
-    have at most k elements.
+    """The nonempty subsets of n_in <= _LO_BITS inputs (the kernel's one
+    row), cached per input count: their masks in (size, lexicographic) order,
+    which is ``itertools.combinations`` size by size, their sizes, each one's
+    rank in the lexicographic order of index tuples across sizes, and, for
+    each k from 0 to n_in, how many of them have at most k elements.
 
     The lexicographic order of the subsets of {k, .., n_in - 1} is the empty
     set, then k joined to each of those of {k + 1, ..}, then the nonempty
@@ -334,8 +320,7 @@ def _row_order(n_in):
 
 class _OneRow:
     """Neighbor counts |N(X)| of the subsets of at most ``max_size`` of
-    n_in < _CHUNK_EXIT_MIN_INPUTS inputs, one per subset in (size,
-    lexicographic) order."""
+    n_in <= _LO_BITS inputs, one per subset in (size, lexicographic) order."""
 
     def __init__(self, words, max_size):
         masks, sizes, self.rank, upto = _row_order(len(words))

@@ -4,16 +4,13 @@ These are the loops that the array-backed group core and the subset-scan
 kernel and tables in ``concentrators`` replaced.  They work on image tuples
 and Python ints only and share nothing with the arrays, so the differential
 tests in ``test_group_core.py`` and ``test_verify.py`` compare two
-independent computations.  The one exception is ``chunked_bsc_scan``, which
-walks every mask of up to 20 inputs in numpy, one mask per array element,
-because a Python loop over 2^20 masks is too slow for a test.
-``parse_graph_text`` is the graph file reader that writes one matrix cell per
-edge line, the reference of ``test_fileio.py``; it shares only the graph
-classes with the reader it checks.  ``validate_design`` is the design
-check that counts every block's t-subsets in a dict, the reference of
-``test_designs.py``.  ``group_row_error`` is the check of a group's rows that
-scatters a boolean per (row, point), the reference of the bitwise check in
-``FiniteGroup``.
+independent computations.  ``parse_graph_text`` is the graph file reader
+that writes one matrix cell per edge line, the reference of
+``test_fileio.py``; it shares only the graph classes with the reader it
+checks.  ``validate_design`` is the design check that counts every block's
+t-subsets in a dict, the reference of ``test_designs.py``.
+``group_row_error`` is the check of a group's rows that scatters a boolean
+per (row, point), the reference of the bitwise check in ``FiniteGroup``.
 """
 
 import itertools
@@ -221,36 +218,6 @@ def subset_scan(inc, max_size, exclude_self=False, target=None):
             if target is not None and gamma < target * size - 1e-12 * size:
                 return best[0] / best[1], _mask_to_set(best[2]), checked, True
     return best[0] / best[1], _mask_to_set(best[2]), checked, False
-
-
-def chunked_bsc_scan(inc, max_size, c, chunk=1 << 18):
-    """``bsc_check``'s exhaustive scan from 17 inputs, mask by mask: every
-    mask 1 .. 2^n - 1 in increasing order, and a refuted scan ends with the
-    chunk [1 + k*chunk, 1 + (k+1)*chunk) that holds its least failing mask.
-
-    Returns (worst ratio, its witness, subsets checked, refuted); the witness
-    is the lexicographically least index tuple among float-equal minima."""
-    inc = np.asarray(inc) > 0
-    n = len(inc)
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    nbrs = np.zeros(len(masks), dtype=np.int64)
-    for j0 in range(0, inc.shape[1], 60):  # 60 outputs a word, in int64
-        rows = [sum(1 << j for j in np.flatnonzero(row[j0 : j0 + 60])) for row in inc]
-        union = np.zeros(len(masks), dtype=np.int64)
-        for v, row in enumerate(rows):
-            union |= np.where((masks >> v) & 1 == 1, row, 0)
-        nbrs += np.bitwise_count(union)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    eligible = sizes <= max_size
-    ratio = nbrs / sizes
-    failing = eligible & (nbrs < c * sizes - 1e-12 * sizes)
-    refuted = bool(failing.any())
-    if refuted:
-        first = int(masks[failing][0])
-        eligible &= masks <= ((first - 1) // chunk + 1) * chunk
-    low = ratio[eligible].min()
-    witness = min(_mask_to_set(int(m)) for m in masks[eligible & (ratio == low)])
-    return float(low), witness, int(eligible.sum()), refuted
 
 
 def _draws(n, max_size, budget, seed):

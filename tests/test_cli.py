@@ -808,6 +808,52 @@ def test_construct_names_every_missing_option(capsys, tmp_path):
     assert capsys.readouterr().err == "error: construct --kind bicoset needs --group, --N, --S\n"
 
 
+_MONTECARLO = ["montecarlo", "--k", "2", "--eps", "0.5", "--trials", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "variant, given, error",
+    [
+        ("thm14", ["--L"], "montecarlo --variant thm14 does not read --L"),
+        ("thm14", ["--N"], "montecarlo --variant thm14 does not read --N"),
+        ("thm14", ["--L", "--N"], "montecarlo --variant thm14 does not read --L, --N"),
+        ("thm15", ["--L", "--N"], "montecarlo --variant thm15 does not read --N"),
+        ("thm15", [], "thm15 needs --L (the subgroup)"),
+        ("thm15", ["--N"], "montecarlo --variant thm15 does not read --N"),
+        ("thm18", [], "thm18 needs --L and --N"),
+        ("thm18", ["--L"], "thm18 needs --L and --N"),
+        ("thm18", ["--N"], "thm18 needs --L and --N"),
+    ],
+    ids=["thm14-L", "thm14-N", "thm14-L-N", "thm15-L-N", "thm15-none", "thm15-N",
+         "thm18-none", "thm18-L", "thm18-N"],
+)
+def test_montecarlo_subgroup_options_are_checked_before_any_file(
+    capsys, tmp_path, variant, given, error
+):
+    # Every file named does not exist, so an error about a missing file
+    # would mean that a file was read before the check.
+    argv = [*_MONTECARLO, "--variant", variant, "--group", str(tmp_path / "absent.txt")]
+    for option in given:
+        argv += [option, str(tmp_path / f"absent{option[2:]}.txt")]
+    code = _main_exit(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_design_mathieu_checks_n_before_building_the_chain(capsys, monkeypatch):
+    def no_chain():
+        raise AssertionError("the 12-point chain was built")
+
+    monkeypatch.setattr(C.designs, "mathieu12_designs", no_chain)
+    code = _main_exit(["design", "--mathieu", "8", "--validate"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --mathieu expects one of 12, 11, 10, 9\n"
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -273,35 +273,31 @@ def _own_outputs(extra, inputs):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), bits=st.integers(19, 20), max_size=st.integers(1, 20))
 def test_kernel_early_exit_at_end_of_first_chunk(data, bits, max_size):
-    # Chunks are [1, 2^18 + 1), [2^18 + 1, 2^19 + 1), ...  Input 18 reaches
-    # nothing, so the first refutation is mask 2^18, the last of the first chunk.
+    # Input 18 reaches nothing, so {18} (mask 2^18, the last of the first
+    # block of 2^18 masks) is the first refutation, and the 19th subset in
+    # (size, lexicographic) order.
     extra = data.draw(st.lists(st.integers(0, 2**40 - 1), min_size=bits, max_size=bits))
     nbrs = _own_outputs(extra, [v for v in range(bits) if v != 18])
     masks = [nbrs.get(v, 0) for v in range(bits)]
     rep = bsc_check(_bipartite(masks), alpha=_alpha(max_size, bits), c=1.0)
     assert not rep.verdict
-    assert (rep.worst_ratio, rep.worst_set) == (0.0, (18,))
-    # every eligible mask below 2^18, and 2^18 itself
-    below = sum(math.comb(18, s) for s in range(1, min(max_size, 18) + 1))
-    assert rep.subsets_checked == below + 1
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (0.0, (18,), 19)
 
 
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), bits=st.integers(19, 20), max_size=st.integers(2, 20))
 def test_kernel_early_exit_in_second_chunk(data, bits, max_size):
     # Input 18 reaches only output 0, which is all that input 0 reaches, so
-    # {0, 18} (mask 2^18 + 1, the first of the second chunk) is the first set
-    # with fewer neighbors than elements, and the only one at ratio 1/2 there.
+    # {0, 18} (mask 2^18 + 1, the first of the second block of 2^18 masks)
+    # is the first set with fewer neighbors than elements, after every
+    # singleton and the pairs {0, 1} .. {0, 17}.
     extra = data.draw(st.lists(st.integers(0, 2**40 - 1), min_size=bits, max_size=bits))
     nbrs = _own_outputs(extra, range(1, bits))
     nbrs[0] = nbrs[18] = 1
     masks = [nbrs[v] for v in range(bits)]
     rep = bsc_check(_bipartite(masks), alpha=_alpha(max_size, bits), c=1.0)
     assert not rep.verdict
-    assert (rep.worst_ratio, rep.worst_set) == (0.5, (0, 18))
-    # every eligible mask below 2^19, and 2^19 itself when there are 20 inputs
-    below = sum(math.comb(19, s) for s in range(1, min(max_size, 19) + 1))
-    assert rep.subsets_checked == below + (bits > 19)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (0.5, (0, 18), bits + 18)
 
 
 def _expander_matches_oracle(inc, c, restrict_half):
@@ -394,14 +390,25 @@ def sparse_incidences(draw, max_in, max_out):
     return C.BipartiteGraph([[int(j in row) for j in range(n_out)] for row in rows])
 
 
+def _loop_max_size(n_in, budget=4096):
+    """The largest max_size whose subsets of n_in inputs number at most
+    ``budget`` (at least 1), which keeps a reference loop short."""
+    count, size = n_in, 1
+    while size < n_in and count + math.comb(n_in, size + 1) <= budget:
+        size += 1
+        count += math.comb(n_in, size)
+    return size
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), c=st.sampled_from([0.0, 0.5, 1.0, 4 / 3, 2.0, 3.0]))
 def test_bsc_stops_at_the_first_refuting_subset_below_17_inputs(data, c):
-    # Below 17 inputs the scan is one chunk, yet it stops where a loop over
-    # the subsets in (size, lexicographic) order stops, with up to 200
-    # outputs (neighbor sets of up to four 64-bit words).
-    X = data.draw(sparse_incidences(16, 200))
-    max_size = data.draw(st.integers(1, X.n_in))
+    # On every input count up to 20, one row or the cell table, the scan
+    # stops where a loop over the subsets in (size, lexicographic) order
+    # stops, with up to 200 outputs (neighbor sets of up to four 64-bit
+    # words).
+    X = data.draw(sparse_incidences(20, 200))
+    max_size = data.draw(st.integers(1, _loop_max_size(X.n_in)))
     rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
     ratio, worst, checked, refuted = oracles.subset_scan(X.inc, max_size, target=c)
     assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
@@ -409,7 +416,7 @@ def test_bsc_stops_at_the_first_refuting_subset_below_17_inputs(data, c):
 
 
 def test_bsc_report_does_not_depend_on_output_padding():
-    # 17 inputs, input 5 reaches nothing: the first chunk refutes c = 1.
+    # 17 inputs, input 5 reaches nothing: {5}, the sixth subset, refutes c = 1.
     inc = np.zeros((17, 20), dtype=np.int64)
     for v in range(17):
         if v != 5:
@@ -417,8 +424,45 @@ def test_bsc_report_does_not_depend_on_output_padding():
     padded = np.hstack([inc, np.zeros((17, 45), dtype=np.int64)])
     reports = [bsc_check(C.BipartiteGraph(m), alpha=0.5, c=1.0) for m in (inc, padded)]
     assert reports[0] == reports[1]
-    assert reports[0].subsets_checked == sum(math.comb(17, s) for s in range(1, 9))
-    assert (reports[0].worst_ratio, reports[0].worst_set) == (0.0, (5,))
+    assert (reports[0].worst_ratio, reports[0].worst_set, reports[0].subsets_checked) == \
+        (0.0, (5,), 6)
+
+
+@pytest.mark.parametrize("empty", [0, 5, 15])
+def test_an_input_that_refutes_nothing_leaves_a_refuted_report_unchanged(empty):
+    # 16 inputs, input ``empty`` reaching nothing, and the same graph with a
+    # 17th input that reaches an output of its own: {empty} is the first
+    # refuting subset of both, and the report does not change.
+    inc = np.eye(17, dtype=np.int64)
+    inc[empty, empty] = 0
+    reports = [bsc_check(C.BipartiteGraph(inc[:n, :n]), alpha=0.5, c=1.0) for n in (16, 17)]
+    assert reports[0] == reports[1]
+    assert (reports[1].worst_ratio, reports[1].worst_set, reports[1].subsets_checked) == \
+        (0.0, (empty,), empty + 1) == oracles.subset_scan(inc, 8, target=1.0)[:3]
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_in=st.integers(19, 21), size=st.integers(2, 5), rich=st.sets(st.integers(0, 20)),
+       max_size=st.integers(12, 21))
+def test_bsc_first_refutation_among_failing_cells_of_several_blocks(n_in, size, rich, max_size):
+    # Input v reaches output v, output 63 shared by all inputs, and output
+    # 64 + v too when v is rich: |N(X)| = |X| + |X & rich| + 1.  With
+    # c = 1 + 1/(size - 1/2) no smaller set fails, and every ``size``-set of
+    # inputs that are not rich does.  Their cells span high masks of up to
+    # ``size`` bits, more rows than one re-expansion block of 4096 columns
+    # holds, and the first of them is the ``size`` least inputs not rich.
+    rich = {v for v in rich if v < n_in}
+    poor = [v for v in range(n_in) if v not in rich]
+    max_size = min(max_size, n_in)
+    if len(poor) < size:
+        return
+    masks = [(1 << v) | (1 << 63) | (int(v in rich) << (64 + v)) for v in range(n_in)]
+    X = _bipartite(masks, n_out=64 + n_in)
+    c = 1 + 1 / (size - 0.5)
+    rep = bsc_check(X, alpha=_alpha(max_size, n_in), c=c)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked, rep.verdict) == \
+        (*oracles.subset_scan(X.inc, max_size, target=c)[:3], False)
+    assert rep.worst_set == tuple(poor[:size])
 
 
 @settings(max_examples=40, deadline=None)
@@ -463,14 +507,6 @@ def pooled_incidences(draw, min_in, max_in):
     return C.BipartiteGraph([[int(j in row) for j in range(n_out)] for row in rows])
 
 
-def _bsc_reference(X, max_size, c):
-    """(worst ratio, witness, subsets checked, refuted) by the reference loop
-    of the stop rule for this many inputs."""
-    if X.n_in >= 17:
-        return oracles.chunked_bsc_scan(X.inc, max_size, c)
-    return oracles.subset_scan(X.inc, max_size, target=c)
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), c=st.sampled_from([0.0, 0.5, 1.0, 4 / 3, 2.0, 3.0]))
 def test_kernel_matches_the_reference_loops(data, c):
@@ -479,7 +515,7 @@ def test_kernel_matches_the_reference_loops(data, c):
     X = data.draw(pooled_incidences(1, 20))
     max_size = data.draw(st.integers(1, X.n_in if X.n_in <= 12 else 3))
     rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
-    ratio, worst, checked, refuted = _bsc_reference(X, max_size, c)
+    ratio, worst, checked, refuted = oracles.subset_scan(X.inc, max_size, target=c)
     assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
     assert rep.verdict is not refuted
     # the magnifier (|X| <= n/2) on up to 14 vertices
@@ -497,8 +533,10 @@ def late_refutations(draw):
     """17-20 inputs.  Inputs other than 18 reach their own output and up to
     two of outputs 20-29, so no set of them has fewer neighbors than
     elements; input 18 reaches only output v of an input v that reaches
-    nothing else, so {v, 18} (mask 2^18 + 2^v, in chunk 1) refutes c = 1
-    when there are 19 or 20 inputs.  Returns (graph, max_size)."""
+    nothing else, so {v, 18} (mask 2^18 + 2^v, past the first block of 2^18
+    masks) refutes c = 1 when there are 19 or 20 inputs.  Returns (graph,
+    max_size), the max_size kept to ``_loop_max_size`` where nothing
+    refutes."""
     n_in = draw(st.integers(17, 20))
     extra = st.frozensets(st.integers(20, 29), max_size=2)
     rows = [{v} | draw(extra) for v in range(n_in)]
@@ -506,7 +544,7 @@ def late_refutations(draw):
         v = draw(st.integers(0, 17))
         rows[v], rows[18] = {v}, {v}
     inc = [[int(j in row) for j in range(30)] for row in rows]
-    return C.BipartiteGraph(inc), draw(st.integers(1, n_in))
+    return C.BipartiteGraph(inc), draw(st.integers(1, n_in if n_in > 18 else _loop_max_size(n_in)))
 
 
 @settings(max_examples=12, deadline=None)
@@ -514,12 +552,12 @@ def late_refutations(draw):
 def test_bsc_chunk_exit_matches_the_mask_by_mask_reference(case, c):
     X, max_size = case
     rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
-    ratio, worst, checked, refuted = oracles.chunked_bsc_scan(X.inc, max_size, c)
+    ratio, worst, checked, refuted = oracles.subset_scan(X.inc, max_size, target=c)
     assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
     assert rep.verdict is not refuted
     assert refuted == (X.n_in > 18 and max_size > 1)
     if refuted:
-        assert checked > sum(math.comb(18, s) for s in range(1, min(max_size, 18) + 1))
+        assert (ratio, len(worst), worst[1]) == (0.5, 2, 18)
 
 
 @settings(max_examples=8, deadline=None)
@@ -528,7 +566,7 @@ def test_bsc_chunk_exit_matches_the_mask_by_mask_reference(case, c):
 def test_bsc_chunk_exit_on_pooled_graphs(X, c, max_size):
     max_size = min(max_size, X.n_in)
     rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
-    ratio, worst, checked, refuted = oracles.chunked_bsc_scan(X.inc, max_size, c)
+    ratio, worst, checked, refuted = oracles.subset_scan(X.inc, max_size, target=c)
     assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
     assert rep.verdict is not refuted
 
@@ -557,15 +595,14 @@ def test_float_equal_minima_at_different_sizes(rows, n_out, worst):
 
 def test_scan_where_most_rows_have_no_eligible_subset():
     # 20 inputs and max_size 1: only the high rows of popcount 0 and 1 hold
-    # an eligible subset.  {0} refutes c = 3 in the first chunk, which holds
-    # 19 of the 20 singletons (mask 2^19 lies in the third chunk).
+    # an eligible subset.  {0}, the first singleton, refutes c = 3.
     inc = np.zeros((20, 70), dtype=np.int64)
     for v in range(20):
         inc[v, (3 * v) % 70] = inc[v, 69 - v] = 1
     X = C.BipartiteGraph(inc)
     rep = bsc_check(X, alpha=1 / 20, c=3.0)
     assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked, rep.verdict) == \
-        (2.0, (0,), 19, False) == (*oracles.chunked_bsc_scan(inc, 1, 3.0)[:3], False)
+        (2.0, (0,), 1, False) == (*oracles.subset_scan(inc, 1, target=3.0)[:3], False)
     rep = magnifier_constant(C.Graph(np.zeros((3, 3), dtype=np.int64)))
     assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (0.0, (0,), 3)
 
@@ -595,7 +632,7 @@ def test_non_monotone_table_raises(which):
         _check_monotone(value, fails)
 
 
-# -- the one-row read (up to 12 inputs; refuted bsc scans up to 16) ------------
+# -- the one-row read (up to 12 inputs) ----------------------------------------
 
 
 @st.composite
@@ -648,8 +685,9 @@ def test_one_row_read_matches_the_reference_loops(data, n_in, c):
 
 @pytest.mark.parametrize("n_in", range(1, 17))
 def test_one_row_read_at_every_max_size(n_in):
-    # Every input count and every max_size, on tied blocks (float-equal
-    # minima at several sizes) placed by a fixed seed.
+    # Every input count up to 16 (the one row, then the cell table) and
+    # every max_size, on tied blocks (float-equal minima at several sizes)
+    # placed by a fixed seed.
     rng = np.random.default_rng(n_in)
     cuts = np.flatnonzero(rng.random(n_in - 1) < 0.4) + 1
     perm = rng.permutation(n_in)
