@@ -86,14 +86,16 @@ def _report_dict(r: verify.ConcentrationReport) -> dict:
     }
 
 
-# The options each construct kind reads, checked before any file is read.
-_CONSTRUCT_NEEDS = {
-    "cayley": ("group", "S"),
-    "coset": ("group", "H", "S"),
-    "bicoset": ("group", "L", "N", "S"),
-    "double-cover": ("graph",),
-    "gq22": (),
+# The options each construct kind needs, and the flags it also reads; an
+# option missing or not read is an error raised before any file is read.
+_CONSTRUCT_READS = {
+    "cayley": (("group", "S"), ()),
+    "coset": (("group", "H", "S"), ()),
+    "bicoset": (("group", "L", "N", "S"), ("simple",)),
+    "double-cover": (("graph",), ()),
+    "gq22": ((), ()),
 }
+_CONSTRUCT_OPTIONS = ("group", "H", "L", "N", "S", "graph", "simple")
 
 
 def _load_subgroups(L_path: str, N_path: str):
@@ -105,7 +107,12 @@ def _load_subgroups(L_path: str, N_path: str):
 
 def _cmd_construct(args) -> int:
     kind = args.kind
-    missing = [f"--{name}" for name in _CONSTRUCT_NEEDS.get(kind, ()) if not getattr(args, name)]
+    needs, flags = _CONSTRUCT_READS[kind]
+    unread = [f"--{name}" for name in _CONSTRUCT_OPTIONS
+              if name not in needs + flags and getattr(args, name)]
+    if unread:
+        raise fileio.FormatError(f"construct --kind {kind} does not read {', '.join(unread)}")
+    missing = [f"--{name}" for name in needs if not getattr(args, name)]
     if missing:
         raise fileio.FormatError(f"construct --kind {kind} needs {', '.join(missing)}")
     if kind == "gq22":
@@ -123,11 +130,9 @@ def _cmd_construct(args) -> int:
         elif kind == "coset":
             H = fileio.load_group(args.H)
             out_graph = graphs.coset_graph(G, H, S)
-        elif kind == "bicoset":
+        else:
             L, N = _load_subgroups(args.L, args.N)
             out_graph = graphs.bicoset_graph(G, L, N, S, simple=args.simple)
-        else:
-            raise fileio.FormatError(f"unknown construct kind {kind!r}")
     fileio.save_graph(out_graph, args.out)
     if isinstance(out_graph, graphs.Graph):
         shape = {"kind": kind, "n": out_graph.n, "out": args.out}
@@ -197,6 +202,11 @@ def _design_payload(d: designs.Design, validate: bool) -> tuple[dict, bool]:
 
 
 def _cmd_design(args) -> int:
+    sources = [args.golay, args.mathieu is not None, args.infile is not None]
+    if sum(sources) > 1:
+        raise fileio.FormatError("design reads one source: --golay, --mathieu N, or --in FILE")
+    if args.infile is None and (args.t is not None or args.gamma is not None):
+        raise fileio.FormatError("design reads --t and --gamma only with --in")
     if args.golay:
         d = designs.golay_witt_design()
         source = "golay"

@@ -17,8 +17,9 @@ magnifier and the expander check of its extended double cover scan the same
 support with the same ``max_size`` of n/2, so ``double_cover_harness`` reads
 both answers off one gather.  Every ``value`` table depends only on the shape
 (n_in, n_out, max_size), so each is built, checked and cached read-only once
-per shape (``_value_table``); only the bsc and expander ``fails`` tables,
-which depend on the claimed constant, are built per call.
+per shape (``_value_table``); the bsc and expander ``fails`` tables depend on
+the claimed constant too, and are cached once per shape and constant
+(``_fails_table``).
 
 Both tables must be monotone in |N(X)| at a fixed |X|: ``value`` never
 decreases and ``fails`` never turns from False to True as |N(X)| grows, and
@@ -32,16 +33,18 @@ halves' masks are taken in popcount order (computed once per bit count).  A
 cell is one high mask with one low popcount q; the subset's size is the high
 popcount p plus q.  The walk visits only eligible subsets: for each high mask
 it takes the prefix of low columns with popcount at most max_size - p (so 24
-inputs with max_size 12 visit 9,740,685 subsets, not 2^24 - 1).  Neighbor
-sets are split into 64-bit words; each half has a table of the neighbor union
-of every subset of its bits, built by doubling, so a block of at most 2^18
-subsets costs one broadcast OR per word and a popcount.
+inputs with max_size 12 visit 9,740,685 subsets, not 2^24 - 1).  A neighbor
+set is one 32-bit word when the outputs fit in it, and 64-bit words
+otherwise; each half has a table of the neighbor union of every subset of its
+bits, built by doubling, so a block of at most 2^18 subsets costs one
+broadcast OR per word and a popcount.
 ``np.minimum.reduceat`` over the popcount groups reduces each block to a
 table of the least |N(X)| per cell.
 
 The answers are read off that table.  The least value is the least over the
 cells of the value at the cell's least |N(X)|; only the cells that attain it
-are re-expanded, to find the lexicographically least witness.
+are re-expanded, each over the columns of its own low popcount, to find the
+lexicographically least witness.
 ``subsets_checked`` counts the eligible subsets the scan covers.
 
 Up to ``_LO_BITS`` inputs the high half is empty and the kernel is one row,
@@ -110,17 +113,19 @@ def _mask_to_set(mask: int) -> tuple[int, ...]:
 
 
 def _neighbor_words(mat) -> np.ndarray:
-    """Each row's support as little-endian 64-bit words, shape (rows, words)."""
+    """Each row's support as little-endian words, shape (rows, words): one
+    32-bit word when the outputs fit in it, 64-bit words otherwise."""
     bits = np.packbits(np.asarray(mat) > 0, axis=1, bitorder="little")
-    n_bytes = max(8, -(-bits.shape[1] // 8) * 8)  # whole words, at least one
+    width = 4 if bits.shape[1] <= 4 else 8  # bytes per word
+    n_bytes = max(width, -(-bits.shape[1] // width) * width)  # whole words, at least one
     padded = np.zeros((bits.shape[0], n_bytes), dtype=np.uint8)
     padded[:, : bits.shape[1]] = bits
-    return padded.view("<u8")
+    return padded.view(f"<u{width}")
 
 
 def _union_table(masks) -> np.ndarray:
     """Neighbor union of every subset of ``masks``, indexed by subset bitmask."""
-    table = np.zeros(1 << len(masks), dtype=np.uint64)
+    table = np.zeros(1 << len(masks), dtype=masks.dtype)
     for v, mask in enumerate(masks.tolist()):
         table[1 << v : 2 << v] = table[: 1 << v] | mask
     return table
@@ -158,10 +163,10 @@ def _layout(n_in):
 @functools.cache
 def _walk(n_in, max_size):
     """The kernel's walk over the subsets of at most ``max_size`` of n_in
-    inputs, cached: the widest column prefix, the blocks, and the number of
-    subsets.  Each high popcount p takes the prefix of columns with low
-    popcount up to max_size - p, in blocks of at most ``_CHUNK`` unions; a
-    block is (rows, columns, popcount group starts)."""
+    inputs, cached: the blocks and the number of subsets.  Each high popcount
+    p takes the prefix of columns with low popcount up to max_size - p, in
+    blocks of at most ``_CHUNK`` unions; a block is (rows, columns, popcount
+    group starts), the rows and columns as slices."""
     lb, _, _, lo_starts, _, _, hi_starts, _, _ = _layout(n_in)
     blocks = []
     for p in range(min(n_in - lb, max_size) + 1):
@@ -171,9 +176,9 @@ def _walk(n_in, max_size):
         step = max(1, _CHUNK // ncols)
         for r in range(first, stop, step):
             rows = slice(r, min(r + step, stop))
-            blocks.append((rows, ncols, lo_starts[:top]))
+            blocks.append((rows, slice(ncols), lo_starts[:top]))
     count = sum(math.comb(n_in, size) for size in range(1, max_size + 1))
-    return int(lo_starts[min(max_size, lb) + 1]), tuple(blocks), count
+    return tuple(blocks), count
 
 
 class _Kernel:
@@ -186,48 +191,54 @@ class _Kernel:
     low half has q elements, the columns ``lo_starts[q]:lo_starts[q + 1]``.
     ``least`` is the least count of every cell (0 in the cells with no
     eligible subset): each block of ``_walk`` is reduced by
-    ``np.minimum.reduceat`` over its popcount groups.
+    ``np.minimum.reduceat`` over its popcount groups.  ``tables`` holds, per
+    neighbor word, the unions of the low masks in column order and of the
+    high masks in row order, in the words' dtype (``_neighbor_words``).
     """
 
     def __init__(self, words, max_size):
         self.words, self.n_in = words, len(words)
-        lb, self.lo, self.lo_pop, _, hi, self.hi_pop, _, self.hi_masks, self.sizes = _layout(
+        lb, self.lo, _, self.lo_starts, hi, self.hi_pop, _, self.hi_masks, self.sizes = _layout(
             self.n_in
         )
         self.tables = [
             (_union_table(col[:lb])[self.lo], _union_table(col[lb:])[hi]) for col in words.T
         ]
         self.least = np.zeros((len(hi), lb + 1), dtype=np.intp)
-        self.ncols, blocks, self.count = _walk(self.n_in, max_size)
-        for rows, ncols, groups in blocks:
-            unions = self._unions(rows, ncols)
+        blocks, self.count = _walk(self.n_in, max_size)
+        for rows, cols, groups in blocks:
+            unions = self._unions(rows, cols)
             self.least[rows, : len(groups)] = np.minimum.reduceat(unions, groups, axis=1)
 
-    def _unions(self, rows, ncols):
-        """Union popcounts over the rows ``rows`` and the first ``ncols``
-        columns: one broadcast OR per word."""
+    def _unions(self, rows, cols):
+        """Union popcounts over the rows ``rows`` and the columns ``cols``
+        (a slice): one broadcast OR per word."""
         total = None
         for lo, hi in self.tables:
-            count = np.bitwise_count(hi[rows, None] | lo[:ncols])
+            count = np.bitwise_count(hi[rows, None] | lo[cols])
             if total is None:
-                total = count.astype(np.intp) if len(self.tables) > 3 else count
+                # the uint8 popcounts add up to at most 255
+                wide = len(self.tables) * self.words.itemsize * 8 > 255
+                total = count.astype(np.intp) if wide else count
             else:
-                total += count  # at most 3 * 64 in uint8
+                total += count
         return total
 
     def members(self, cells):
         """(masks, sizes, counts) of the subsets in the selected ``cells``,
         flattened, in blocks of at most ``_CHUNK`` unions: the re-expansion of
-        the cells whose least count matters."""
-        lo, lo_pop = self.lo[: self.ncols], self.lo_pop[: self.ncols]
-        rows = np.flatnonzero(cells.any(axis=1))
-        step = max(1, _CHUNK // self.ncols)
-        for r in range(0, len(rows), step):
-            block = rows[r : r + step]
-            keep = cells[block][:, lo_pop]
-            sizes = (self.hi_pop[block, None] + lo_pop)[keep]
-            unions = self._unions(block, self.ncols)[keep]
-            yield (self.hi_masks[block, None] | lo)[keep], sizes, unions
+        the cells whose least count matters.  Each block holds cells of one
+        low popcount q, and expands only that group's columns."""
+        for q in range(cells.shape[1]):
+            rows = np.flatnonzero(cells[:, q])
+            cols = slice(self.lo_starts[q], self.lo_starts[q + 1])
+            lo = self.lo[cols]
+            step = max(1, _CHUNK // len(lo))
+            for r in range(0, len(rows), step):
+                block = rows[r : r + step]
+                sizes = np.repeat(self.hi_pop[block] + q, len(lo))
+                masks = (self.hi_masks[block, None] | lo).ravel()
+                yield masks, sizes, self._unions(block, cols).ravel()
 
     def read(self, value, fails, stop_at_failure):
         """The least (value, witness) over the scanned subsets, read off the
@@ -435,6 +446,15 @@ def _value_table(ratio, n_in, n_out, max_size) -> np.ndarray:
     return _read_only(value)[0]
 
 
+@functools.lru_cache(maxsize=64)  # bounded: the claimed constant takes any value
+def _fails_table(fails, n_in, n_out, max_size, c) -> np.ndarray:
+    """``fails(n_in, c, sizes, nbrs)`` on the ``_grid``: built, checked
+    monotone and made read-only once per shape and claimed constant."""
+    table = fails(n_in, c, *_grid(max_size, n_out))
+    _check_monotone(None, table)
+    return _read_only(table)[0]
+
+
 def bsc_check(
     X: BipartiteGraph,
     alpha: float,
@@ -454,9 +474,7 @@ def bsc_check(
     if max_size < 1:
         raise VerifyError(f"alpha={alpha} admits no nonempty subsets of {X.n_in} inputs")
     _check_mode(X.n_in, mode, budget, seed)
-    size, nbrs = _grid(max_size, X.n_out)
-    fails = nbrs < c * size - 1e-12 * size
-    _check_monotone(None, fails)
+    fails = _fails_table(_bsc_fails, X.n_in, X.n_out, max_size, c)
     value = _value_table(_bsc_ratio, X.n_in, X.n_out, max_size)
     counts = _gather(X.inc, max_size, mode, budget, seed)
     ratio, worst, checked, _ = counts.read(value, fails, stop_at_failure=True)
@@ -472,6 +490,11 @@ def bsc_check(
 def _bsc_ratio(n_in, size, nbrs):
     """|N(X)|/|X|."""
     return nbrs / size
+
+
+def _bsc_fails(n_in, c, size, nbrs):
+    """|N(X)| < c|X|, with a 1e-12 relative slack."""
+    return nbrs < c * size - 1e-12 * size
 
 
 def _outside_ratio(n_in, size, nbrs):
@@ -514,9 +537,7 @@ def magnifier_constant(
 def _expander_report(counts, n, c, max_size, mode) -> ConcentrationReport:
     """The expansion check with constant c read off ``counts``, the gather of
     an n x n incidence."""
-    size, nbrs = _grid(max_size, n)
-    fails = ~_expansion_holds(n, c, size, nbrs)
-    _check_monotone(None, fails)
+    fails = _fails_table(_expansion_fails, n, n, max_size, c)
     value = _value_table(_largest_c, n, n, max_size)
     best_c, best_set, checked, failed = counts.read(value, fails, False)
     return ConcentrationReport(
@@ -553,10 +574,10 @@ def expander_check(
     return _expander_report(_gather(X.inc, max_size, mode, budget, seed), n, c, max_size, mode)
 
 
-def _expansion_holds(n, c, size, nbrs):
-    """|N(A)| >= (1 + c(1 - |A|/n))|A|, with a 1e-9 slack, and Hall's condition
-    when |A| = n; elementwise over arrays."""
-    return (nbrs * n >= (n + c * (n - size)) * size - 1e-9) & ((size < n) | (nbrs >= size))
+def _expansion_fails(n, c, size, nbrs):
+    """Not |N(A)| >= (1 + c(1 - |A|/n))|A| (with a 1e-9 slack), or not Hall's
+    condition when |A| = n; elementwise over arrays."""
+    return ~((nbrs * n >= (n + c * (n - size)) * size - 1e-9) & ((size < n) | (nbrs >= size)))
 
 
 def _largest_c(n, size, nbrs):

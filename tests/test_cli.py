@@ -855,6 +855,75 @@ def test_design_mathieu_checks_n_before_building_the_chain(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "kind, given, unread",
+    [
+        ("gq22", ["--group", "--L"], "--group, --L"),
+        ("gq22", ["--simple"], "--simple"),
+        ("cayley", ["--group", "--S", "--H"], "--H"),
+        ("cayley", ["--group", "--S", "--simple"], "--simple"),
+        ("coset", ["--group", "--H", "--S", "--L", "--N"], "--L, --N"),
+        ("bicoset", ["--group", "--L", "--N", "--S", "--H", "--graph"], "--H, --graph"),
+        ("double-cover", ["--graph", "--group", "--simple"], "--group, --simple"),
+        ("double-cover", ["--S"], "--S"),
+    ],
+    ids=["gq22-group-L", "gq22-simple", "cayley-H", "cayley-simple", "coset-L-N",
+         "bicoset-H-graph", "double-cover-group-simple", "double-cover-S-only"],
+)
+def test_construct_rejects_an_option_its_kind_does_not_read(capsys, tmp_path, kind, given, unread):
+    # Every file named does not exist, so an error about a missing file
+    # would mean that a file was read before the check.
+    out = tmp_path / "out.txt"
+    argv = ["construct", "--kind", kind, "--out", str(out)]
+    for option in given:
+        argv += [option]
+        if option != "--simple":
+            argv += [str(tmp_path / f"absent{option[2:]}.txt")]
+    code = _main_exit(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: construct --kind {kind} does not read {unread}\n"
+    assert not out.exists()
+
+
+_ONE_SOURCE = "design reads one source: --golay, --mathieu N, or --in FILE"
+_T_GAMMA = "design reads --t and --gamma only with --in"
+
+
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        (["--golay", "--mathieu", "12"], _ONE_SOURCE),
+        (["--golay", "--mathieu", "12", "--t", "3"], _ONE_SOURCE),
+        (["--golay", "--in", "{absent}", "--t", "2", "--gamma", "1"], _ONE_SOURCE),
+        (["--mathieu", "8", "--in", "{absent}", "--t", "2", "--gamma", "1"], _ONE_SOURCE),
+        (["--golay", "--t", "3"], _T_GAMMA),
+        (["--mathieu", "12", "--gamma", "1"], _T_GAMMA),
+        (["--t", "2", "--gamma", "1"], _T_GAMMA),
+    ],
+    ids=["golay-mathieu", "golay-mathieu-t", "golay-in", "mathieu-in", "golay-t",
+         "mathieu-gamma", "t-gamma-without-source"],
+)
+def test_design_rejects_a_second_source_and_unread_options(capsys, monkeypatch, tmp_path,
+                                                           options, error):
+    def no_design(*args):
+        raise AssertionError("a design was built or read")
+
+    for name in ("golay_witt_design", "mathieu12_designs"):
+        monkeypatch.setattr(C.designs, name, no_design)
+    monkeypatch.setattr(C.fileio, "load_design", no_design)
+    absent = str(tmp_path / "absent.txt")
+    out = tmp_path / "out.txt"
+    argv = ["design", *(absent if o == "{absent}" else o for o in options), "--out", str(out)]
+    code = _main_exit(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["construct", "--kind", "bicoset", "--S", "{s3}"],

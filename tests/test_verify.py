@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
@@ -428,6 +428,25 @@ def test_bsc_report_does_not_depend_on_output_padding():
         (0.0, (5,), 6)
 
 
+@settings(max_examples=40, deadline=None)
+@given(X=sparse_incidences(20, 32), n_in=st.integers(13, 20),
+       c=st.sampled_from([0.5, 1.0, 4 / 3, 2.0]), data=st.data())
+def test_bsc_report_is_the_same_in_32_and_64_bit_words(X, n_in, c, data):
+    # Up to 32 outputs the neighbor sets are one 32-bit word; all-zero output
+    # columns that push n_out past 32 and 64 make them one and two 64-bit
+    # words.  The report is the loop's in every width.
+    inc = np.vstack([X.inc, np.zeros((20, X.n_out), dtype=X.inc.dtype)])[:n_in]
+    inc[X.n_in:, : X.n_out] = np.eye(20, X.n_out, dtype=inc.dtype)[X.n_in : n_in]
+    max_size = data.draw(st.integers(1, _loop_max_size(n_in)))
+    want = oracles.subset_scan(inc, max_size, target=c)
+    for n_out, dtype in ((X.n_out, np.uint32), (33, np.uint64), (64, np.uint64), (65, np.uint64)):
+        padded = np.hstack([inc, np.zeros((n_in, n_out - X.n_out), dtype=inc.dtype)])
+        assert verify._neighbor_words(padded).dtype == dtype
+        rep = bsc_check(C.BipartiteGraph(padded), alpha=_alpha(max_size, n_in), c=c)
+        assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want[:3]
+        assert rep.verdict is not want[3]
+
+
 @pytest.mark.parametrize("empty", [0, 5, 15])
 def test_an_input_that_refutes_nothing_leaves_a_refuted_report_unchanged(empty):
     # 16 inputs, input ``empty`` reaching nothing, and the same graph with a
@@ -630,6 +649,45 @@ def test_non_monotone_table_raises(which):
         fails = ~fails  # turns true as |N| grows
     with pytest.raises(VerifyError, match="as |N| grows"):
         _check_monotone(value, fails)
+
+
+@st.composite
+def circulants(draw, min_n, max_n):
+    """Adjacency of the circulant graph on Z_n joining v to v +- s for each
+    s in a nonempty connection set."""
+    n = draw(st.integers(min_n, max_n))
+    steps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+    adj = np.zeros((n, n), dtype=np.int64)
+    for v in range(n):
+        for s in steps:
+            adj[v, (v + s) % n] = adj[(v + s) % n, v] = 1
+    return adj
+
+
+@settings(max_examples=20, deadline=None)
+@given(adj=circulants(13, 16))
+def test_magnifier_witness_among_cells_of_several_low_popcounts(adj):
+    # Every rotation of a circulant's worst set is a worst set too.  When the
+    # rotations place different numbers of their elements among the 12 low
+    # inputs, as they nearly always do, the cells attaining the least value
+    # have several low popcounts, and each is re-expanded over its own group
+    # of columns.
+    n = len(adj)
+    rep = magnifier_constant(C.Graph(adj))
+    want = oracles.subset_scan(adj, n // 2, exclude_self=True)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want[:3]
+    assume(len({sum((v + r) % n < 12 for v in rep.worst_set) for r in range(n)}) > 1)
+
+
+def test_fails_tables_are_cached_read_only_per_shape_and_constant():
+    from concentrators.verify import _bsc_fails, _expansion_fails, _fails_table
+
+    for fails in (_bsc_fails, _expansion_fails):
+        table = _fails_table(fails, 6, 6, 3, 0.5)
+        assert table is _fails_table(fails, 6, 6, 3, 0.5)
+        assert not table.flags.writeable
+        assert _fails_table(fails, 6, 6, 3, 1.0) is not table
+        assert _fails_table(fails, 6, 7, 3, 0.5).shape == (3, 8)
 
 
 # -- the one-row read (up to 12 inputs) ----------------------------------------
