@@ -95,7 +95,14 @@ _CONSTRUCT_READS = {
     "double-cover": (("graph",), ()),
     "gq22": ((), ()),
 }
-_CONSTRUCT_OPTIONS = ("group", "H", "L", "N", "S", "graph", "simple")
+_CONSTRUCT_OPTIONS = tuple(dict.fromkeys(
+    name for needs, flags in _CONSTRUCT_READS.values() for name in needs + flags
+))
+
+
+def _given(args, name) -> bool:
+    """Whether option ``name`` was given, an empty value included."""
+    return getattr(args, name) not in (None, False)
 
 
 def _load_subgroups(L_path: str, N_path: str):
@@ -109,7 +116,7 @@ def _cmd_construct(args) -> int:
     kind = args.kind
     needs, flags = _CONSTRUCT_READS[kind]
     unread = [f"--{name}" for name in _CONSTRUCT_OPTIONS
-              if name not in needs + flags and getattr(args, name)]
+              if name not in needs + flags and _given(args, name)]
     if unread:
         raise fileio.FormatError(f"construct --kind {kind} does not read {', '.join(unread)}")
     missing = [f"--{name}" for name in needs if not getattr(args, name)]
@@ -344,7 +351,7 @@ _MONTECARLO_READS = {
 
 def _cmd_montecarlo(args) -> int:
     reads, missing = _MONTECARLO_READS[args.variant]
-    unread = [f"--{name}" for name in ("L", "N") if name not in reads and getattr(args, name)]
+    unread = [f"--{name}" for name in ("L", "N") if name not in reads and _given(args, name)]
     if unread:
         raise fileio.FormatError(f"montecarlo --variant {args.variant} does not read "
                                  f"{', '.join(unread)}")

@@ -33,11 +33,10 @@ halves' masks are taken in popcount order (computed once per bit count).  A
 cell is one high mask with one low popcount q; the subset's size is the high
 popcount p plus q.  The walk visits only eligible subsets: for each high mask
 it takes the prefix of low columns with popcount at most max_size - p (so 24
-inputs with max_size 12 visit 9,740,685 subsets, not 2^24 - 1).  A neighbor
-set is one 32-bit word when the outputs fit in it, and 64-bit words
-otherwise; each half has a table of the neighbor union of every subset of its
-bits, built by doubling, so a block of at most 2^18 subsets costs one
-broadcast OR per word and a popcount.
+inputs with max_size 12 visit 9,740,685 subsets, not 2^24 - 1).  Neighbor
+sets are split into 32-bit words; each half has a table of the neighbor union
+of every subset of its bits, built by doubling, so a block of at most 2^18
+subsets costs one broadcast OR per word and a popcount.
 ``np.minimum.reduceat`` over the popcount groups reduces each block to a
 table of the least |N(X)| per cell.
 
@@ -113,19 +112,17 @@ def _mask_to_set(mask: int) -> tuple[int, ...]:
 
 
 def _neighbor_words(mat) -> np.ndarray:
-    """Each row's support as little-endian words, shape (rows, words): one
-    32-bit word when the outputs fit in it, 64-bit words otherwise."""
+    """Each row's support as little-endian 32-bit words, shape (rows, words)."""
     bits = np.packbits(np.asarray(mat) > 0, axis=1, bitorder="little")
-    width = 4 if bits.shape[1] <= 4 else 8  # bytes per word
-    n_bytes = max(width, -(-bits.shape[1] // width) * width)  # whole words, at least one
+    n_bytes = max(4, -(-bits.shape[1] // 4) * 4)  # whole words, at least one
     padded = np.zeros((bits.shape[0], n_bytes), dtype=np.uint8)
     padded[:, : bits.shape[1]] = bits
-    return padded.view(f"<u{width}")
+    return padded.view("<u4")
 
 
 def _union_table(masks) -> np.ndarray:
     """Neighbor union of every subset of ``masks``, indexed by subset bitmask."""
-    table = np.zeros(1 << len(masks), dtype=masks.dtype)
+    table = np.zeros(1 << len(masks), dtype=np.uint32)
     for v, mask in enumerate(masks.tolist()):
         table[1 << v : 2 << v] = table[: 1 << v] | mask
     return table
@@ -193,7 +190,7 @@ class _Kernel:
     eligible subset): each block of ``_walk`` is reduced by
     ``np.minimum.reduceat`` over its popcount groups.  ``tables`` holds, per
     neighbor word, the unions of the low masks in column order and of the
-    high masks in row order, in the words' dtype (``_neighbor_words``).
+    high masks in row order, as uint32.
     """
 
     def __init__(self, words, max_size):
@@ -217,11 +214,9 @@ class _Kernel:
         for lo, hi in self.tables:
             count = np.bitwise_count(hi[rows, None] | lo[cols])
             if total is None:
-                # the uint8 popcounts add up to at most 255
-                wide = len(self.tables) * self.words.itemsize * 8 > 255
-                total = count.astype(np.intp) if wide else count
+                total = count.astype(np.intp) if len(self.tables) > 7 else count
             else:
-                total += count
+                total += count  # at most 7 * 32 in uint8
         return total
 
     def members(self, cells):

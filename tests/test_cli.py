@@ -823,18 +823,22 @@ _MONTECARLO = ["montecarlo", "--k", "2", "--eps", "0.5", "--trials", "2", "--see
         ("thm18", [], "thm18 needs --L and --N"),
         ("thm18", ["--L"], "thm18 needs --L and --N"),
         ("thm18", ["--N"], "thm18 needs --L and --N"),
+        ("thm14", ["--L="], "montecarlo --variant thm14 does not read --L"),
     ],
     ids=["thm14-L", "thm14-N", "thm14-L-N", "thm15-L-N", "thm15-none", "thm15-N",
-         "thm18-none", "thm18-L", "thm18-N"],
+         "thm18-none", "thm18-L", "thm18-N", "thm14-empty-L"],
 )
 def test_montecarlo_subgroup_options_are_checked_before_any_file(
     capsys, tmp_path, variant, given, error
 ):
     # Every file named does not exist, so an error about a missing file
-    # would mean that a file was read before the check.
+    # would mean that a file was read before the check.  An option written
+    # "--name=" is given with an empty value.
     argv = [*_MONTECARLO, "--variant", variant, "--group", str(tmp_path / "absent.txt")]
     for option in given:
-        argv += [option, str(tmp_path / f"absent{option[2:]}.txt")]
+        argv += [option]
+        if not option.endswith("="):
+            argv += [str(tmp_path / f"absent{option[2:]}.txt")]
     code = _main_exit(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -865,18 +869,22 @@ def test_design_mathieu_checks_n_before_building_the_chain(capsys, monkeypatch):
         ("bicoset", ["--group", "--L", "--N", "--S", "--H", "--graph"], "--H, --graph"),
         ("double-cover", ["--graph", "--group", "--simple"], "--group, --simple"),
         ("double-cover", ["--S"], "--S"),
+        ("gq22", ["--group="], "--group"),
+        ("cayley", ["--group", "--S", "--H="], "--H"),
     ],
     ids=["gq22-group-L", "gq22-simple", "cayley-H", "cayley-simple", "coset-L-N",
-         "bicoset-H-graph", "double-cover-group-simple", "double-cover-S-only"],
+         "bicoset-H-graph", "double-cover-group-simple", "double-cover-S-only",
+         "gq22-empty-group", "cayley-empty-H"],
 )
 def test_construct_rejects_an_option_its_kind_does_not_read(capsys, tmp_path, kind, given, unread):
     # Every file named does not exist, so an error about a missing file
-    # would mean that a file was read before the check.
+    # would mean that a file was read before the check.  An option written
+    # "--name=" is given with an empty value.
     out = tmp_path / "out.txt"
     argv = ["construct", "--kind", kind, "--out", str(out)]
     for option in given:
         argv += [option]
-        if option != "--simple":
+        if option != "--simple" and not option.endswith("="):
             argv += [str(tmp_path / f"absent{option[2:]}.txt")]
     code = _main_exit(argv)
     captured = capsys.readouterr()
