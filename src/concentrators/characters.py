@@ -36,11 +36,15 @@ class CharacterError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """Conjugacy classes, irreducible degrees, and character values per class."""
+    """Conjugacy classes, irreducible degrees, and character values per class.
+
+    ``class_of`` is a read-only index array mapping each element index of G
+    to its class.
+    """
 
     classes: tuple[tuple[int, ...], ...]
     class_sizes: tuple[int, ...]
-    class_of: tuple[int, ...]
+    class_of: np.ndarray
     degrees: tuple[int, ...]
     chars: np.ndarray  # (n_irreps, n_classes), complex
 
@@ -56,7 +60,8 @@ def _class_structure(G: FiniteGroup):
     classes = conjugacy_classes(G)
     class_of = np.empty(len(G), dtype=np.intp)
     class_of[np.concatenate(classes)] = np.repeat(np.arange(len(classes)), list(map(len, classes)))
-    return classes, tuple(class_of.tolist())
+    class_of.setflags(write=False)
+    return classes, class_of
 
 
 def _class_matrices(G: FiniteGroup, classes, class_of) -> np.ndarray:
@@ -142,12 +147,16 @@ def character_table(G: FiniteGroup, tol: float = 1e-8) -> CharacterTable:
 
 
 def dim_sum_D(G: FiniteGroup, table: CharacterTable | None = None) -> int:
-    """Sum of irreducible degrees; always strictly between sqrt|G| and |G|."""
+    """Sum of irreducible degrees D, with sqrt|G| <= D <= |G|.
+
+    D^2 >= sum of squared degrees = |G| by Cauchy-Schwarz, with equality only
+    for the one-element group, where D = 1.
+    """
     table = character_table(G) if table is None else table
     D = sum(table.degrees)
     order = table.order()
-    if not math.sqrt(order) < D <= order:
-        raise CharacterError(f"D={D} outside (sqrt({order}), {order}]")
+    if D * D < order or D > order:
+        raise CharacterError(f"D={D} outside [sqrt({order}), {order}]")
     return D
 
 
@@ -159,7 +168,7 @@ def trivial_restriction_multiplicities(
     if not is_subgroup(G, H):
         raise CharacterError(f"{H.label()} is not a subgroup of {G.label()}")
     table = character_table(G) if table is None else table
-    h_classes = np.asarray(table.class_of)[G.lookup(H.rows)]
+    h_classes = table.class_of[G.lookup(H.rows)]
     mults = []
     for chi in table.chars:
         m = chi[h_classes].sum() / len(H)

@@ -309,11 +309,7 @@ def design_bipartite(design: Design, blocks_as_inputs: bool = False) -> Bipartit
     for j, block in enumerate(design.blocks):
         for x in block:
             inc[x, j] = 1
-    point_labels = tuple(f"p{i}" for i in range(design.v))
-    block_labels = tuple(f"B{j}" for j in range(design.b))
-    if blocks_as_inputs:
-        return BipartiteGraph(inc.T.copy(), block_labels, point_labels)
-    return BipartiteGraph(inc, point_labels, block_labels)
+    return BipartiteGraph(inc.T.copy() if blocks_as_inputs else inc)
 
 
 @dataclass(frozen=True)

@@ -61,11 +61,10 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Bipartite multigraph given by its n_in x n_out multiplicity matrix."""
+    """Bipartite multigraph given by its n_in x n_out multiplicity matrix;
+    inputs and outputs are the matrix's row and column indices."""
 
     inc: np.ndarray
-    in_labels: tuple[str, ...] = ()
-    out_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         inc = np.array(self.inc, dtype=np.int64)
@@ -74,12 +73,6 @@ class BipartiteGraph:
         if (inc < 0).any():
             raise GraphError("multiplicities must be non-negative")
         object.__setattr__(self, "inc", _freeze(inc))
-        if not self.in_labels:
-            object.__setattr__(self, "in_labels", tuple(map(str, range(inc.shape[0]))))
-        if not self.out_labels:
-            object.__setattr__(self, "out_labels", tuple(map(str, range(inc.shape[1]))))
-        if len(self.in_labels) != inc.shape[0] or len(self.out_labels) != inc.shape[1]:
-            raise GraphError("label count does not match matrix shape")
 
     @property
     def n_in(self) -> int:
@@ -128,14 +121,13 @@ def cayley_graph(G: FiniteGroup, S: Sequence[Permutation]) -> Graph:
 
 class CosetGraphs:
     """The coset graphs of one subgroup H of G, built a stack of connection
-    multisets at a time.  The right cosets, their representatives and
-    ``coset_of`` are computed once, when the object is made."""
+    multisets at a time.  The right cosets are computed once, when the
+    object is made."""
 
     def __init__(self, G: FiniteGroup, H: FiniteGroup) -> None:
         self.G = G
         self.partition = right_cosets(G, H)
-        self._coset_of = np.asarray(self.partition.coset_of)
-        reps = G.rows[[c[0] for c in self.partition.cosets]]
+        reps = G.rows[self.partition.cosets[:, 0]]
         self._h_reps = H.rows[:, reps]  # (|H|, m, degree): the rows of h * rep_a
 
     def __len__(self) -> int:
@@ -151,7 +143,7 @@ class CosetGraphs:
         S^-1 edges are the S edges reversed, which the symmetric scatter adds.
         """
         # nb[t, c, h, a] is the coset of s_c * h * rep_a in trial t
-        nb = self._coset_of[self.G.lookup(self.G.rows[idx][:, :, self._h_reps])]
+        nb = self.partition.coset_of[self.G.lookup(self.G.rows[idx][:, :, self._h_reps])]
         m = len(self)
         t = np.arange(len(idx))[:, None, None, None]
         a = np.arange(m)
@@ -178,8 +170,7 @@ class BicosetGraphs:
         self.G = G
         self.inputs = right_cosets(G, L)
         self.outputs = self.inputs if N is L else right_cosets(G, N)
-        self._in_reps = G.rows[[c[0] for c in self.inputs.cosets]]
-        self._out_coset_of = np.asarray(self.outputs.coset_of)
+        self._in_reps = G.rows[self.inputs.cosets[:, 0]]
 
     def incidence(self, idx: np.ndarray) -> np.ndarray:
         """(b, m_in, m_out) multiplicities of the bi-coset graph of each row of
@@ -187,7 +178,7 @@ class BicosetGraphs:
         in multiset t with N s rep_i = N_j."""
         b, m_in, m_out = len(idx), len(self.inputs), len(self.outputs)
         # j[t, s, i] is the N-coset of s * rep_i
-        j = self._out_coset_of[self.G.lookup(self.G.rows[idx][:, :, self._in_reps])]
+        j = self.outputs.coset_of[self.G.lookup(self.G.rows[idx][:, :, self._in_reps])]
         flat = (np.arange(b)[:, None, None] * m_in + np.arange(m_in)) * m_out + j
         inc = np.bincount(flat.ravel(), minlength=b * m_in * m_out)
         return inc.reshape(b, m_in, m_out)
@@ -211,13 +202,8 @@ def bicoset_graph(
     """
     if not S:
         raise GraphError("connection multiset S must be nonempty")
-    graphs = BicosetGraphs(G, L, N)
-    inc = graphs.incidence(_indices(G, S))[0]
-    if simple:
-        inc = np.minimum(inc, 1)
-    in_labels = tuple(f"Lg{c[0]}" for c in graphs.inputs.cosets)
-    out_labels = tuple(f"Ng{c[0]}" for c in graphs.outputs.cosets)
-    return BipartiteGraph(inc, in_labels, out_labels)
+    inc = BicosetGraphs(G, L, N).incidence(_indices(G, S))[0]
+    return BipartiteGraph(np.minimum(inc, 1) if simple else inc)
 
 
 def bicayley_graph(
@@ -241,9 +227,7 @@ def extended_double_cover(g: Graph) -> BipartiteGraph:
     """Bipartite graph with incidence A + I; wants a simple input graph."""
     if not g.is_simple():
         raise GraphError("extended double cover needs a simple graph")
-    labels_x = tuple(f"x{i}" for i in range(g.n))
-    labels_y = tuple(f"y{i}" for i in range(g.n))
-    return BipartiteGraph(closed_neighborhoods(g), labels_x, labels_y)
+    return BipartiteGraph(closed_neighborhoods(g))
 
 
 def gq22_incidence() -> BipartiteGraph:
@@ -272,9 +256,7 @@ def gq22_incidence() -> BipartiteGraph:
     for j, line in enumerate(lines):
         for pair in line:
             inc[point_idx[pair], j] = 1
-    in_labels = tuple(f"{a}{b}" for a, b in points)
-    out_labels = tuple("|".join(f"{a}{b}" for a, b in line) for line in lines)
-    return BipartiteGraph(inc, in_labels, out_labels)
+    return BipartiteGraph(inc)
 
 
 def connected_components(x: Graph | BipartiteGraph) -> tuple[int, tuple[int, ...]]:

@@ -237,6 +237,17 @@ def _spectra(operators: _Operators, k: int, count: int, draws, threshold: float)
     return mu, top
 
 
+def _checked(variant: str, operators: _Operators) -> _Operators:
+    """``operators``, refused when they are 1 x 1 and so have no mu*."""
+    if operators.n < 2:
+        raise MonteCarloError({
+            "thm14": "group needs at least 2 elements for mu*",
+            "thm15": "coset space needs at least 2 cosets for mu*",
+            "thm18": "input coset space is 1-dimensional; mu* undefined",
+        }[variant])
+    return operators
+
+
 def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operators):
     """One batch: validate, evaluate the bound, draw trial t's multiset from
     ``seeded_rng(seed, t)``, solve the operators of ``make_operators()`` and
@@ -251,13 +262,7 @@ def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operato
         raise MonteCarloError(f"need k >= 1 and trials >= 1, got k={k}, trials={trials}")
     if seed < 0:
         raise MonteCarloError(f"seed must be >= 0, got {seed}")
-    operators = make_operators()
-    if subgroups and operators.n < 2:
-        raise MonteCarloError(
-            "input coset space is 1-dimensional; mu* undefined"
-            if variant == "thm18"
-            else "coset space needs at least 2 cosets for mu*"
-        )
+    operators = _checked(variant, make_operators())
     table = character_table(G) if table is None else table
     sums = dim_sums_both(G, subgroups[0], table) if subgroups else {"D": dim_sum_D(G, table)}
     bounds = []
@@ -361,14 +366,14 @@ def enumerate_cayley_tail(
     G: FiniteGroup, k: int, eps: float, cap: int = ENUMERATION_CAP
 ) -> tuple[float, int]:
     """Exact P(mu* > eps) over all |G|^k ordered draws; feasible when <= cap."""
-    return _enumerated_tail(G, k, eps, cap, lambda: _cayley_operators(G))
+    return _enumerated_tail(G, k, eps, cap, lambda: _checked("thm14", _cayley_operators(G)))
 
 
 def enumerate_coset_tail(
     G: FiniteGroup, H: FiniteGroup, k: int, eps: float, cap: int = ENUMERATION_CAP
 ) -> tuple[float, int]:
     """Exact coset-graph tail over all |G|^k ordered draws."""
-    return _enumerated_tail(G, k, eps, cap, lambda: _coset_operators(G, H))
+    return _enumerated_tail(G, k, eps, cap, lambda: _checked("thm15", _coset_operators(G, H)))
 
 
 def shifted_product_spectrum_matches(

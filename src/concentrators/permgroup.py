@@ -12,7 +12,9 @@ sorted key per row (``_keys``: the images packed 4 bits a point into a
 whole array of image rows to element indices with one ``np.searchsorted``,
 made over the argsorted needles when there are many.  Closure and cosets work
 level by level on these arrays; conjugacy classes are the orbits of one table
-of the generators' conjugation action on element indices.
+of the generators' conjugation action on element indices.  A partition of the
+elements, such as ``right_cosets``' ``CosetPartition``, is a read-only integer
+index array built once, which its readers index in place.
 ``G.elements`` is a lazy read-only sequence that builds a ``Permutation`` only
 for the element accessed, and ``G.index`` a read-only mapping from image
 tuples to indices.
@@ -62,9 +64,6 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         return self.images[point]
-
-    def is_identity(self) -> bool:
-        return all(i == p for i, p in enumerate(self.images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its least point."""
@@ -427,16 +426,19 @@ def is_subgroup(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class CosetPartition:
-    """Right cosets Hg of a subgroup, indexed by their least-element representative."""
+    """Right cosets Hg of a subgroup as two read-only int64 index arrays.
 
-    parent: FiniteGroup
-    subgroup: FiniteGroup
-    representatives: tuple[Permutation, ...]
-    coset_of: tuple[int, ...]
-    cosets: tuple[tuple[int, ...], ...]
+    ``cosets`` is (m, |H|): row i holds coset i's element indices ascending,
+    and the rows are ordered by least member, so ``cosets[i, 0]`` is coset
+    i's representative.  ``coset_of`` (length |G|) maps each element index
+    to its coset.
+    """
+
+    coset_of: np.ndarray
+    cosets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.representatives)
+        return len(self.cosets)
 
 
 # Rows looked up per batch when many small cosets are found together.
@@ -453,23 +455,19 @@ def right_cosets(G: FiniteGroup, H: FiniteGroup) -> CosetPartition:
     if not is_subgroup(G, H):
         raise GroupError(f"{H.label()} is not a subgroup of {G.label()}")
     coset_of = np.full(len(G), -1, dtype=np.int64)
+    cosets = np.empty((len(G) // len(H), len(H)), dtype=np.int64)
     batch = max(1, _COSET_BATCH_ROWS // len(H))
-    cosets = []
-    while True:
+    found = 0
+    while found < len(cosets):
         todo = np.flatnonzero(coset_of < 0)[:batch]
-        if not len(todo):
-            break
         members = np.sort(G.lookup(H.rows[:, G.rows[todo]]).T, axis=1)
         members = members[members[:, 0] == todo]
-        coset_of[members] = len(cosets) + np.arange(len(members))[:, None]
-        cosets.extend(members.tolist())
-    return CosetPartition(
-        parent=G,
-        subgroup=H,
-        representatives=tuple(G.elements[c[0]] for c in cosets),
-        coset_of=tuple(coset_of.tolist()),
-        cosets=tuple(tuple(c) for c in cosets),
-    )
+        coset_of[members] = found + np.arange(len(members))[:, None]
+        cosets[found : found + len(members)] = members
+        found += len(members)
+    coset_of.setflags(write=False)
+    cosets.setflags(write=False)
+    return CosetPartition(coset_of, cosets)
 
 
 # Elements conjugated per lookup, which bounds the conjugation table's temporaries.

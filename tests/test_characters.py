@@ -87,6 +87,14 @@ def test_dim_sum_bounds(s4, s4_table):
     assert math.sqrt(24) < D <= 24
 
 
+def test_dim_sum_of_the_one_element_group_is_one():
+    # D = sqrt|G| = |G| = 1: the only group where the lower bound is attained
+    G = C.cyclic_group(1)
+    table = character_table(G)
+    assert table.degrees == (1,)
+    assert dim_sum_D(G, table) == 1
+
+
 def test_dgh_variants_s3(s3, swap01, s3_table):
     assert dim_sum_DGH(s3, swap01, "paper", s3_table) == 1
     assert dim_sum_DGH(s3, swap01, "support", s3_table) == 2

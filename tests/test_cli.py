@@ -151,6 +151,31 @@ def test_chartable(capsys, s3_file, swap_file, a3_file):
     assert by_name["a3"]["support"] == 1
 
 
+@pytest.fixture()
+def trivial_file(tmp_path):
+    p = tmp_path / "trivial.txt"
+    p.write_text("degree 1\n")
+    return str(p)
+
+
+def test_chartable_of_the_one_element_group(capsys, trivial_file):
+    code, out = run(capsys, ["chartable", "--group", trivial_file])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degrees"] == [1]
+    assert payload["D"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_thm14_on_the_one_element_group_exits_2(capsys, trivial_file, fmt):
+    argv = ["montecarlo", "--group", trivial_file, "--k", "2", "--eps", "0.5", "--trials", "3",
+            "--seed", "1", "--variant", "thm14", "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "mu*" in captured.err
+
+
 def test_construct_and_verify_roundtrip(capsys, tmp_path, s3_file, a3_file, swap_file):
     graph_path = str(tmp_path / "bc.txt")
     code, _ = run(

@@ -1,8 +1,9 @@
-"""Every subcommand's stdout, byte for byte, against recorded files.
+"""Every subcommand's stdout and written files, byte for byte, against recorded files.
 
 Each case runs ``main`` in a directory holding a copy of
 ``data/cli_golden/inputs`` and compares its exit code and stdout with
-``data/cli_golden/<name>.out``.  The files were recorded from the CLI as it
+``data/cli_golden/<name>.out``, and the file a case writes with ``--out``
+with ``data/cli_golden/<name>.graph``.  The files were recorded from the CLI as it
 was before its JSON writer was replaced, so a change to the canonical bytes
 (key order, indentation, escapes, number spelling) fails here even where a
 rerun would agree with itself.  After a deliberate output change, record them
@@ -82,6 +83,11 @@ CASES = [
 ]
 
 
+def _written(argv):
+    """The path a case writes with ``--out``, or None."""
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -96,10 +102,13 @@ def test_stdout_matches_the_recorded_bytes(tmp_path, monkeypatch, name, code, ar
     got_code, got = _run(argv)
     assert got_code == code
     assert got.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    if _written(argv):
+        written = (tmp_path / _written(argv)).read_bytes()
+        assert written == (GOLDEN / f"{name}.graph").read_bytes()
 
 
 if __name__ == "__main__":
-    # Record every case's stdout (see the module docstring).
+    # Record every case's stdout and written file (see the module docstring).
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(GOLDEN / "inputs", tmp, dirs_exist_ok=True)
         os.chdir(tmp)
@@ -108,3 +117,5 @@ if __name__ == "__main__":
             if got_code != code:
                 raise SystemExit(f"{name}: exit {got_code}, expected {code}")
             (GOLDEN / f"{name}.out").write_bytes(got.encode())
+            if _written(argv):
+                shutil.copyfile(_written(argv), GOLDEN / f"{name}.graph")

@@ -232,8 +232,8 @@ def test_semi_transitivity_right_multiplication_on_invariant_bicoset(s4):
     pairs = []
     for a in s4.generators:
         imgs = tuple(
-            in_part.coset_of[s4.index_of(compose(rep, a))]
-            for rep in in_part.representatives
+            in_part.coset_of[s4.index_of(compose(s4.elements[rep], a))]
+            for rep in in_part.cosets[:, 0]
         )
         pairs.append((Permutation(imgs), Permutation(imgs)))
     assert semi_transitivity_check(X, pairs)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import concentrators as C
 from concentrators import characters, permgroup
 from concentrators.characters import _class_matrices
-from concentrators.graphs import BicosetGraphs
+from concentrators.graphs import BicosetGraphs, CosetGraphs
 from concentrators.montecarlo import cayley_operator
 from concentrators.permgroup import (
     MATHIEU12_GENERATORS,
@@ -54,9 +54,9 @@ def images(G):
 def assert_same_partition(G, H):
     part = right_cosets(G, H)
     reps, coset_of, cosets = oracles.right_cosets(images(G), images(H))
-    assert [G.index_of(r) for r in part.representatives] == list(reps)
-    assert part.coset_of == coset_of
-    assert part.cosets == cosets
+    assert part.cosets[:, 0].tolist() == list(reps)
+    assert part.coset_of.tolist() == list(coset_of)
+    assert part.cosets.tolist() == [list(c) for c in cosets]
 
 
 def assert_same_classes(G):
@@ -489,9 +489,9 @@ def assert_shared_partition(G, H):
     assert graphs.outputs is graphs.inputs
     reps, coset_of, cosets = oracles.right_cosets(images(G), images(H))
     part = graphs.inputs
-    assert [G.index_of(r) for r in part.representatives] == list(reps)
-    assert part.coset_of == coset_of
-    assert part.cosets == cosets
+    assert part.cosets[:, 0].tolist() == list(reps)
+    assert part.coset_of.tolist() == list(coset_of)
+    assert part.cosets.tolist() == [list(c) for c in cosets]
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,6 +502,45 @@ def test_bicoset_graphs_with_n_is_l_match_the_oracle_partition(groups):
 
 def test_bicoset_graphs_on_m12_over_m11_share_the_oracle_partition(m12):
     assert_shared_partition(m12, closure(12, MATHIEU12_GENERATORS[:5], name="M11"))
+
+
+# -- coset partitions and class maps as read-only index arrays --------------------
+
+def is_read_only_ints(a):
+    return isinstance(a, np.ndarray) and a.dtype.kind == "i" and not a.flags.writeable
+
+
+def assert_holds_partition_arrays(graphs, parts):
+    """The graph builder's partitions are read-only index arrays, and every
+    array it holds with a partition array's values is that array itself."""
+    arrays = [a for part in parts for a in (part.coset_of, part.cosets)]
+    assert all(is_read_only_ints(a) for a in arrays)
+    for held in vars(graphs).values():
+        for a in arrays:
+            if isinstance(held, np.ndarray) and held.shape == a.shape and np.array_equal(held, a):
+                assert np.shares_memory(held, a)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_partition_arrays_are_read_only_match_the_oracle_and_are_not_copied(n):
+    G = C.symmetric_group(n)
+    L = closure(n, [from_cycles([(0, 1)], n)])
+    N = C.alternating_group(n)
+    for H in (L, N):
+        part = right_cosets(G, H)
+        _, coset_of, cosets = oracles.right_cosets(images(G), images(H))
+        assert is_read_only_ints(part.coset_of) and is_read_only_ints(part.cosets)
+        assert part.coset_of.tolist() == list(coset_of)
+        assert part.cosets.tolist() == [list(c) for c in cosets]
+    class_of = characters.character_table(G).class_of
+    classes = oracles.conjugacy_classes(images(G), [g.images for g in G.generators])
+    expected = {m: c for c, members in enumerate(classes) for m in members}
+    assert is_read_only_ints(class_of)
+    assert class_of.tolist() == [expected[i] for i in range(len(G))]
+    coset_graphs = CosetGraphs(G, L)
+    assert_holds_partition_arrays(coset_graphs, [coset_graphs.partition])
+    for graphs in (BicosetGraphs(G, L, N), BicosetGraphs(G, L, L)):
+        assert_holds_partition_arrays(graphs, [graphs.inputs, graphs.outputs])
 
 
 # -- class matrices from batched lookups ------------------------------------------
@@ -516,7 +555,7 @@ def test_batched_class_matrices_match_oracle(monkeypatch, batch_rows, build, n):
     G = build(n)
     classes, class_of = characters._class_structure(G)
     assert classes == conjugacy_classes(G)
-    assert class_of == tuple({m: c for c, ms in enumerate(classes) for m in ms}[i]
-                             for i in range(len(G)))
+    assert class_of.tolist() == [{m: c for c, ms in enumerate(classes) for m in ms}[i]
+                                 for i in range(len(G))]
     mats = _class_matrices(G, classes, class_of)
     assert mats.tolist() == oracles.class_matrices(images(G), classes)

@@ -88,6 +88,19 @@ def test_trials_validation(s3):
         run_cayley_trials(s3, k=2, eps=0.5, trials=0, seed=1)
 
 
+def test_one_element_group_has_no_mu_star():
+    z1 = C.cyclic_group(1)
+    with pytest.raises(MonteCarloError, match="at least 2 elements"):
+        run_cayley_trials(z1, k=2, eps=0.5, trials=3, seed=1)
+    with pytest.raises(MonteCarloError, match="at least 2 elements"):
+        enumerate_cayley_tail(z1, 2, 0.5)
+
+
+def test_one_coset_has_no_mu_star(s3):
+    with pytest.raises(MonteCarloError, match="at least 2 cosets"):
+        enumerate_coset_tail(s3, s3, 2, 0.5)
+
+
 def test_z2_exact_distribution_enumerable():
     z2 = C.cyclic_group(2)
     tail, total = enumerate_cayley_tail(z2, 1, 0.5)
