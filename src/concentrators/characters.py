@@ -70,9 +70,9 @@ def _class_matrices(G: FiniteGroup, classes, class_of) -> np.ndarray:
     These are the matrices of multiplication by the class sums in the
     class-sum basis; they commute pairwise.  The products x^-1 * z_k of all
     classes are looked up together, in batches of at most _CONJ_BATCH_ROWS.
+    ``class_of`` is ``_class_structure``'s element-to-class index array.
     """
     r = len(classes)
-    class_of = np.asarray(class_of)
     inv_rows = inverse_rows(G.rows)
     z = G.rows[[members[0] for members in classes]]
     counts = np.zeros(r**3, dtype=np.int64)

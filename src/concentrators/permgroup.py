@@ -10,9 +10,16 @@ integer array ``rows`` (``uint8`` up to degree 256, wider beyond), plus one
 sorted key per row (``_keys``: the images packed 4 bits a point into a
 ``uint64`` up to degree 16, the raw row bytes above), so ``lookup`` maps a
 whole array of image rows to element indices with one ``np.searchsorted``,
-made over the argsorted needles when there are many.  Closure and cosets work
-level by level on these arrays; conjugacy classes are the orbits of one table
-of the generators' conjugation action on element indices.  A partition of the
+made over the argsorted needles when there are many.  Closure first builds a
+stabilizer chain of the generators in plain Python (base points, basic orbits,
+transversals and the deduplicated Schreier elements of each level), which
+fixes |G| and refuses a group past the cap before any element is built.  The
+chain gives every element an integer rank below |G|, and its level tables,
+composed into two segment tables, give the rank of ``gen o x`` from that of x
+in two gathers; the breadth-first search then checks "found already?" in one
+direct-address array over ranks, with no sorting.  Cosets work level by level
+on the row arrays; conjugacy classes are the orbits of one table of the
+generators' conjugation action on element indices.  A partition of the
 elements, such as ``right_cosets``' ``CosetPartition``, is a read-only integer
 index array built once, which its readers index in place.
 ``G.elements`` is a lazy read-only sequence that builds a ``Permutation`` only
@@ -30,8 +37,10 @@ of Monte Carlo trials' draws in one numpy pass, bit-identical to each trial's
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -363,6 +372,128 @@ class FiniteGroup:
         return self.name or f"group(deg={self.degree},order={len(self)})"
 
 
+def _chain(
+    degree: int, gens: Sequence[tuple[int, ...]], cap: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-level transition tables of a stabilizer chain of <gens>.
+
+    Level i has a base point b_i (the least point that an element of E_i
+    moves), its basic orbit Δ_i under <E_i> and a transversal u_j with
+    u_j(b_i) = Δ_i[j].  E_1 is ``gens`` as given; E_{i+1} holds the distinct
+    Schreier elements s = u_{j'}^-1 e u_j (e in E_i, e(Δ_i[j]) = Δ_i[j']),
+    which generate the stabilizer of b_1..b_i.  Level i's tables are the
+    (|E_i|, |Δ_i|) arrays of j' and of the index of s in E_{i+1}.  The chain
+    ends when every element of E_i is the identity.  Since E_{i+1} lies in
+    the stabilizer, Π_{j<=i} |Δ_j| * |E_{i+1}| <= |G|: once it passes ``cap``
+    the closure is refused, before any element is enumerated.
+    """
+    tables = []
+    elements = list(gens)
+    size = 1
+    while True:
+        base = min((p for e in elements for p, q in enumerate(e) if p != q), default=None)
+        if base is None:
+            return tables
+        ident = tuple(range(degree))
+        # itemgetter(*e)(x) is x o e; the transversal and its inverses grow
+        # together, u_q = e o u_p and u_q^-1 = u_p^-1 o e^-1.
+        forward = [itemgetter(*e) for e in elements]
+        backward = [itemgetter(*sorted(ident, key=e.__getitem__)) for e in elements]
+        where = {base: 0}
+        orbit, trans, inverses = [base], [ident], [ident]
+        for p, u, v in zip(orbit, trans, inverses):
+            for e, back in zip(elements, backward):
+                q = e[p]
+                if q not in where:
+                    where[q] = len(orbit)
+                    orbit.append(q)
+                    trans.append(itemgetter(*u)(e))
+                    inverses.append(back(v))
+        size *= len(orbit)
+        getters = [itemgetter(*u) for u in trans]
+        schreier: dict[tuple[int, ...], int] = {}
+        pos, nxt = [], []
+        for e, fwd in zip(elements, forward):
+            for p, get in zip(orbit, getters):
+                j = where[e[p]]
+                s = get(fwd(inverses[j]))
+                if s not in schreier:
+                    schreier[s] = len(schreier)
+                    if size * len(schreier) > cap:
+                        raise GroupError(
+                            f"closure exceeded the enumeration cap of {cap} elements; "
+                            "raise `cap` explicitly if the group really is this large"
+                        )
+                pos.append(j)
+                nxt.append(schreier[s])
+        shape = (len(elements), len(orbit))
+        tables.append((np.array(pos).reshape(shape), np.array(nxt).reshape(shape)))
+        elements = list(schreier)
+
+
+def _compose(tables: list[tuple[np.ndarray, np.ndarray]], states: np.ndarray):
+    """A run of chain levels' tables composed into one: (digits, ends), each
+    of shape (len(states), Π|Δ_i|).  Column r stands for the digits of an
+    element x on these levels, the first level most significant.  From state
+    e, the product e x has the digits numbered ``digits[e, r]`` and leaves
+    the run in state ``ends[e, r]``."""
+    digits = np.zeros((len(states), 1), dtype=np.int64)
+    ends = states[:, None]
+    for pos, nxt in tables:
+        width = pos.shape[1]
+        cols = np.arange(width)
+        digits = (digits[:, :, None] * width + pos[ends[:, :, None], cols]).reshape(len(states), -1)
+        ends = nxt[ends[:, :, None], cols].reshape(len(states), -1)
+    return digits, ends
+
+
+def _bfs_rows(gens: np.ndarray, tables: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The element rows of ``closure``, in its order, from the chain tables."""
+    ngens, degree = gens.shape
+    widths = [pos.shape[1] for pos, _ in tables]
+    order = math.prod(widths)
+    rows = np.empty((order, degree), dtype=gens.dtype)
+    rows[0] = np.arange(degree)
+    if order == 1:
+        return rows
+    # The rank is high * Q + low: the digits of the first m levels and of
+    # the rest.  m minimizes the two tables' total size; the run of levels
+    # after it starts from the len(tables[m][0]) elements of E_{m+1}, or from
+    # the identity alone when m is the last level.
+    counts = [ngens, *(len(pos) for pos, _ in tables[1:]), 1]
+    prefix = [math.prod(widths[:m]) for m in range(len(tables) + 1)]
+    sizes = [ngens * p + n * (order // p) for p, n in zip(prefix, counts)]
+    m = sizes.index(min(sizes))
+    Q = order // prefix[m]
+    # For generator g and high digits h of x, the rank of g x is
+    # low[to_low[h, g] + low digits of x] + to_high[h, g].
+    high, ends = _compose(tables[:m], np.arange(ngens))
+    to_high = np.ascontiguousarray((high * Q).T)
+    to_low = np.ascontiguousarray((ends * Q).T)
+    low = _compose(tables[m:], np.arange(counts[m]))[0].ravel()
+    # found[r] is the position, among its level's candidates, of the first
+    # candidate of rank r; ranks not yet found hold ``unseen``, and the
+    # identity, rank 0, holds 0.
+    unseen = ngens * order
+    found = np.full(order, unseen)
+    found[0] = 0
+    ranks = np.zeros(1, dtype=np.intp)
+    start, count = 0, 1
+    while count < order:
+        hi, lo = divmod(ranks, Q)
+        cand = (low.take(to_low.take(hi, axis=0) + lo[:, None]) + to_high.take(hi, axis=0)).ravel()
+        new = (found.take(cand) == unseen).nonzero()[0]
+        c = cand[new]
+        np.minimum.at(found, c, new)
+        new = new[found.take(c) == new]
+        ranks = cand[new]
+        parent, gen = divmod(new, ngens)
+        parent_rows = rows.take(start + parent, axis=0)
+        start, count = count, count + len(new)
+        rows[start:count] = gens.take(parent_rows + (gen * degree)[:, None])
+    return rows
+
+
 def closure(
     degree: int,
     generators: Sequence[Permutation],
@@ -373,46 +504,30 @@ def closure(
 
     The element order is deterministic: the identity first, then BFS levels,
     expanding each frontier element by left-multiplying with the generators in
-    the order given.  Enumeration refuses to grow past ``cap`` elements.
+    the order given.  Enumeration refuses to grow past ``cap`` elements, and
+    says so before it enumerates anything.
 
-    Each level is computed at once: the candidates ``gen o cur`` in (frontier
-    element, generator) order, deduplicated by first occurrence, minus the
-    elements of earlier levels, kept in candidate order.
+    A stabilizer chain (``_chain``) gives each element x a rank below |G|:
+    its digits j_i, level by level, in x = u_{j_1} u_{j_2} ... .  The levels'
+    tables are composed into two segment tables, split at the level where
+    their total size is least, so the rank of ``gen o x`` is two gathers from
+    the rank of x.  Each BFS level takes the candidates in (frontier element,
+    generator) order, drops those already found by one read of a
+    direct-address array over ranks, keeps each rank's first occurrence
+    (``np.minimum.at``) and builds image rows only for the elements kept, from
+    their parent's row.  Ranks only tell whether a candidate was found before,
+    so the order is that of the search on rows.
     """
     if degree < 1:
         raise GroupError(f"degree must be >= 1, got {degree}")
     for g in generators:
         if g.degree != degree:
             raise GroupError(f"generator degree {g.degree} != {degree}")
-    gens = _perm_rows(generators, degree)
-    frontier = np.arange(degree, dtype=gens.dtype)[None, :]
-    levels = [frontier]
-    seen = _keys(frontier)  # sorted keys of every element so far
-    total = 1
-    while len(frontier) and len(gens):
-        cand = np.take(gens, frontier, axis=1).transpose(1, 0, 2).reshape(-1, degree)
-        keys = _keys(cand)
-        # First occurrence of each distinct key, without a stable sort.
-        order = np.argsort(keys)
-        keys = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        uniq = keys[starts]
-        first = np.minimum.reduceat(order, starts)
-        pos = np.searchsorted(seen, uniq)
-        new = seen[np.minimum(pos, len(seen) - 1)] != uniq
-        total += int(new.sum())
-        if total > cap:
-            raise GroupError(
-                f"closure exceeded the enumeration cap of {cap} elements; "
-                "raise `cap` explicitly if the group really is this large"
-            )
-        seen = np.insert(seen, pos[new], uniq[new])
-        frontier = cand[np.sort(first[new])]
-        levels.append(frontier)
+    tables = _chain(degree, [g.images for g in generators], cap)
     return FiniteGroup(
         degree=degree,
         generators=tuple(generators),
-        rows=np.concatenate(levels),
+        rows=_bfs_rows(_perm_rows(generators, degree), tables),
         name=name,
     )
 

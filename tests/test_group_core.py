@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
@@ -71,8 +71,46 @@ def dihedral(n):
     return closure(n, [rot, flip], name=f"D{n}")
 
 
-@settings(max_examples=60, deadline=None)
-@given(generator_sets(), st.integers(1, 800))
+@st.composite
+def block_product_sets(draw, max_blocks=3, max_block=4):
+    """Generators of a direct product of small groups on disjoint point
+    blocks, the blocks scattered over the points, with generators repeated
+    and the identity among them.  Their stabilizer chains have several
+    levels, and the base points need not be the least points."""
+    sizes = draw(st.lists(st.integers(1, max_block), min_size=1, max_size=max_blocks))
+    degree = sum(sizes)
+    points = draw(st.permutations(range(degree)))
+    gens = []
+    for end, size in zip(np.cumsum(sizes).tolist(), sizes):
+        block = points[end - size : end]
+        for _ in range(draw(st.integers(0, 2))):
+            images = list(range(degree))
+            for p, q in zip(block, draw(st.permutations(block))):
+                images[p] = q
+            gens.append(tuple(images))
+    extra = st.sampled_from([*gens, tuple(range(degree))])
+    gens = draw(st.permutations(gens + draw(st.lists(extra, min_size=1, max_size=3))))
+    return degree, [Permutation(g) for g in gens]
+
+
+def cycle_spec(degree, cycles):
+    return degree, [from_cycles(c, degree) for c in cycles]
+
+
+# Z3 x Z2 x S3 on {1, 3, 7}, {2, 5}, {4, 6, 8}, with point 0 fixed, the Z3
+# generator repeated and the identity among the generators: base points 1, 2,
+# 4, 6.  D4 on {1, 3, 6, 7} times A4 on {2, 4, 5, 8}: base points 1, 2, 3, 4.
+# Each with the cap at its order and one below.
+Z3_Z2_S3 = cycle_spec(9, [[(1, 3, 7)], [(4, 6)], [(1, 3, 7)], [(4, 6, 8)], [], [(2, 5)]])
+D4_A4 = cycle_spec(9, [[(1, 6)], [(2, 4, 5)], [(1, 3, 6, 7)], [], [(4, 5, 8)]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(generator_sets(), block_product_sets()), st.integers(1, 800))
+@example(Z3_Z2_S3, 36)
+@example(Z3_Z2_S3, 35)
+@example(D4_A4, 96)
+@example(D4_A4, 95)
 def test_closure_matches_oracle_and_cap(spec, cap):
     degree, gens = spec
     try:
@@ -116,11 +154,8 @@ def test_graph_builders_match_oracle(groups, data):
 @pytest.mark.parametrize("n", [4, 5])
 def test_class_matrices_match_oracle(build, n):
     G = build(n)
-    classes = conjugacy_classes(G)
-    class_of = [0] * len(G)
-    for c, members in enumerate(classes):
-        for m in members:
-            class_of[m] = c
+    classes, class_of = characters._class_structure(G)
+    assert classes == conjugacy_classes(G) and not class_of.flags.writeable
     mats = _class_matrices(G, classes, class_of)
     assert mats.tolist() == oracles.class_matrices(images(G), classes)
 
@@ -139,6 +174,25 @@ def test_large_degree_matches_oracle(G, H):
     assert images(G) == oracles.closure(G.degree, gens, 10**6)
     assert_same_partition(G, H)
     assert_same_classes(G)
+
+
+def test_closure_refuses_s12_before_enumerating():
+    # |S12| = 479001600 is past the default cap.  The stabilizer chain shows
+    # it before any element is built: enumerating up to the cap first took a
+    # 58 MiB peak.
+    gens = [from_cycles([(0, 1)], 12), Permutation(tuple((i + 1) % 12 for i in range(12)))]
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupError) as got:
+            closure(12, gens)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert str(got.value) == (
+        "closure exceeded the enumeration cap of 1000000 elements; "
+        "raise `cap` explicitly if the group really is this large"
+    )
+    assert peak < 1
 
 
 def test_large_degree_cap_matches_oracle():
@@ -321,8 +375,10 @@ def test_out_of_range_rows_are_not_found(degree):
 
 
 def test_closure_peak_memory_on_m12():
-    # The 12-point group's closure peaks near 6.7 MiB of numpy allocations;
-    # upcasting each whole row array to uint64 for its keys took it to 13.5 MiB.
+    # The 12-point group's closure peaks near 5.2 MiB of numpy allocations,
+    # during the search: the rows, the table over ranks and one level's
+    # candidates.  Upcasting each whole row array to uint64 for its keys once
+    # took it to 13.5 MiB.
     tracemalloc.start()
     try:
         G = closure(12, MATHIEU12_GENERATORS)
