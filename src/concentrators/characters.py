@@ -123,9 +123,14 @@ def character_table(G: FiniteGroup, tol: float = 1e-8) -> CharacterTable:
         chi = d * omega / sizes
         rows.append((d, chi))
 
-    rows.sort(key=lambda row: (row[0], tuple((round(c.real, 6), round(c.imag, 6)) for c in row[1])))
-    degrees = tuple(d for d, _ in rows)
+    # Sorted by degree, then by the values rounded to 6 decimals, each an
+    # (real, imaginary) pair; the table is rounded once.
     chars = np.array([chi for _, chi in rows])
+    rounded = np.round(chars, 6)
+    keys = np.stack((rounded.real, rounded.imag), axis=-1).tolist()
+    ranked = sorted(range(r), key=lambda i: (rows[i][0], keys[i]))
+    degrees = tuple(rows[i][0] for i in ranked)
+    chars = chars[ranked]
 
     if sum(d * d for d in degrees) != order:
         raise CharacterError(f"degrees {degrees} violate sum(d^2) = {order}")

@@ -31,19 +31,23 @@ Exhaustive mode (up to 24 inputs) runs one kernel, ``_Kernel``.  A subset is
 a bitmask split into a low half of 12 bits and a high half, and both
 halves' masks are taken in popcount order (computed once per bit count).  A
 cell is one high mask with one low popcount q; the subset's size is the high
-popcount p plus q.  The walk visits only eligible subsets: for each high mask
-it takes the prefix of low columns with popcount at most max_size - p (so 24
-inputs with max_size 12 visit 9,740,685 subsets, not 2^24 - 1).  Neighbor
-sets are split into 32-bit words; each half has a table of the neighbor union
-of every subset of its bits, built by doubling, so a block of at most 2^18
-subsets costs one broadcast OR per word and a popcount.
-``np.minimum.reduceat`` over the popcount groups reduces each block to a
-table of the least |N(X)| per cell.
+popcount p plus q.  The kernel covers only eligible subsets: for each high
+mask the low columns with popcount at most max_size - p (so 24 inputs with
+max_size 12 cover 9,740,685 subsets, not 2^24 - 1).  Neighbor sets are split
+into 32-bit words; each half has a table of the neighbor union of every
+subset of its bits, built by doubling.  Columns of one popcount with the
+same union (all words) give the same counts, and rows of one popcount with
+the same union the same cells, so the counts are taken over distinct
+(popcount, union) columns and rows only, found by one sort per word, and
+each row copies its distinct row's cells.  A block of at most 2^17 unions
+costs one broadcast OR per word and a popcount, and ``np.minimum.reduceat``
+over the columns' popcount groups reduces it to a table of the least |N(X)|
+per cell.
 
 The answers are read off that table.  The least value is the least over the
 cells of the value at the cell's least |N(X)|; only the cells that attain it
-are re-expanded, each over the columns of its own low popcount, to find the
-lexicographically least witness.
+are re-expanded on the original masks, each over the columns of its own low
+popcount, to find the lexicographically least witness.
 ``subsets_checked`` counts the eligible subsets the scan covers.
 
 Up to ``_LO_BITS`` inputs the high half is empty and the kernel is one row,
@@ -81,8 +85,9 @@ EXHAUSTIVE_CAP = 24
 # The kernel's low half has this many bits; with at most this many inputs the
 # high half is empty and the scan reads the kernel's one row (``_OneRow``).
 _LO_BITS = 12
-# The most elements of one kernel block.
-_CHUNK = 1 << 18
+# The most unions of one kernel block (blocks of 2^18 ran about a third slower
+# on the 24-input magnifier scan).
+_CHUNK = 1 << 17
 
 
 class VerifyError(ValueError):
@@ -157,25 +162,46 @@ def _layout(n_in):
     return lb, lo, lo_pop, lo_starts, hi, hi_pop, hi_starts, *cells
 
 
-@functools.cache
-def _walk(n_in, max_size):
-    """The kernel's walk over the subsets of at most ``max_size`` of n_in
-    inputs, cached: the blocks and the number of subsets.  Each high popcount
-    p takes the prefix of columns with low popcount up to max_size - p, in
-    blocks of at most ``_CHUNK`` unions; a block is (rows, columns, popcount
-    group starts), the rows and columns as slices."""
-    lb, _, _, lo_starts, _, _, hi_starts, _, _ = _layout(n_in)
-    blocks = []
-    for p in range(min(n_in - lb, max_size) + 1):
-        top = min(max_size - p, lb) + 1
-        ncols = int(lo_starts[top])
-        first, stop = int(hi_starts[p]), int(hi_starts[p + 1])
-        step = max(1, _CHUNK // ncols)
-        for r in range(first, stop, step):
-            rows = slice(r, min(r + step, stop))
-            blocks.append((rows, slice(ncols), lo_starts[:top]))
-    count = sum(math.comb(n_in, size) for size in range(1, max_size + 1))
-    return tuple(blocks), count
+def _subsets_upto(n_in, size):
+    """The number of nonempty subsets of at most ``size`` of n_in inputs."""
+    return sum(math.comb(n_in, j) for j in range(1, size + 1))
+
+
+def _distinct(pops, words):
+    """The distinct (popcount, neighbor union) keys of at most 2^13 masks with
+    popcounts ``pops`` and unions ``words`` (one uint32 row per neighbor
+    word): (the masks in key order, whether each is the first of its key).
+    The keys sort by popcount first.
+
+    One sort per word: each mask's key so far, as its rank among the keys so
+    far, goes above the next word and the mask's own index, in one int64 of
+    13 + 32 + 13 bits."""
+    index = np.arange(len(pops))
+    rank = pops
+    for w, word in enumerate(words):
+        if w:
+            rank = np.empty_like(index)
+            rank[order] = np.cumsum(new) - 1
+        key = np.sort(rank << 45 | word.astype(np.int64) << 13 | index)
+        order, head = key & 0x1FFF, key >> 13
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(head[1:], head[:-1], out=new[1:])
+    return order, new
+
+
+def _union_counts(his, los):
+    """|N| of every (row, column) pair, rows from ``his`` and columns from
+    ``los`` (one uint32 row of unions per neighbor word): one broadcast OR
+    per word and a popcount."""
+    total = None
+    for hi, lo in zip(his, los):
+        count = np.bitwise_count(hi[:, None] | lo)
+        if total is None:
+            total = count.astype(np.intp) if len(his) > 7 else count
+        else:
+            total += count  # at most 7 * 32 in uint8
+    return total
 
 
 class _Kernel:
@@ -186,45 +212,69 @@ class _Kernel:
     each half in ``_popcount_order``: row i is the high mask ``hi[i]``, column
     j the low mask ``lo[j]``, and cell (i, q) holds the subsets of row i whose
     low half has q elements, the columns ``lo_starts[q]:lo_starts[q + 1]``.
-    ``least`` is the least count of every cell (0 in the cells with no
-    eligible subset): each block of ``_walk`` is reduced by
-    ``np.minimum.reduceat`` over its popcount groups.  ``tables`` holds, per
-    neighbor word, the unions of the low masks in column order and of the
-    high masks in row order, as uint32.
+    ``lo_words`` and ``hi_words`` hold, per neighbor word, the unions of the
+    low masks in column order and of the high masks in row order, as uint32,
+    for the columns and rows that hold an eligible subset.
+
+    ``least`` is the least count of every eligible cell, one whose size
+    p + q is at most ``max_size``.  ``read`` looks cells up by size, so it
+    never reads the others, which hold 0 or the count of a larger subset.
+    Columns of one low popcount with the same union give the same counts,
+    and rows of one high popcount with the same union the same cells, so the
+    counts are taken over the distinct unions only (``_distinct``), and each
+    row copies its distinct row's cells.  The distinct rows, in popcount
+    order, go in blocks of at most ``_CHUNK`` unions against the distinct
+    columns of low popcount up to max_size - p, p the popcount of the
+    block's first row, the widest of the block; each block is reduced by
+    ``np.minimum.reduceat`` over the columns' popcount groups.
     """
 
     def __init__(self, words, max_size):
         self.words, self.n_in = words, len(words)
-        lb, self.lo, _, self.lo_starts, hi, self.hi_pop, _, self.hi_masks, self.sizes = _layout(
-            self.n_in
-        )
-        self.tables = [
-            (_union_table(col[:lb])[self.lo], _union_table(col[lb:])[hi]) for col in words.T
-        ]
+        (lb, self.lo, lo_pop, self.lo_starts, hi, self.hi_pop, hi_starts,
+         self.hi_masks, self.sizes) = _layout(self.n_in)
+        self.count = _subsets_upto(self.n_in, max_size)
+        # Only the columns and rows of eligible cells are ever read.
+        ncols = self.lo_starts[min(max_size, lb) + 1]
+        nrows = hi_starts[min(max_size, self.n_in - lb) + 1]
+        self.lo_words = np.array([_union_table(col[:lb])[self.lo[:ncols]] for col in words.T])
+        self.hi_words = np.array([_union_table(col[lb:])[hi[:nrows]] for col in words.T])
+        # One ``_distinct`` takes both, the rows' popcounts offset past the
+        # columns', so the columns sort first.
+        pops = np.concatenate((lo_pop[:ncols], self.hi_pop[:nrows] + (lb + 1)))
+        unions = np.concatenate((self.lo_words, self.hi_words), axis=1)
+        order, new = _distinct(pops, unions)
+        keep = order[new]
+        kept_pops = pops[keep]
+        starts = np.searchsorted(kept_pops, np.arange(lb + 2))
+        width = starts[-1]  # the distinct columns, then the distinct rows
+        los, his = unions[:, keep[:width]], unions[:, keep[width:]]
+        n_rows = his.shape[1]
+        least = np.zeros((n_rows, lb + 1), dtype=np.intp)
+        # numpy buffers a broadcast several rows at a time when a row is
+        # shorter than about a third of the ufunc buffer (8192 elements by
+        # default), and then runs the OR about four times slower per element;
+        # a 64-element buffer leaves rows of 64 columns or more unbuffered.
+        with np.errstate():  # restores the buffer size on exit
+            np.setbufsize(64)
+            r = 0
+            while r < n_rows:
+                # rows ascend in popcount, so the block's first row is the widest
+                top = min(max_size - (int(kept_pops[width + r]) - lb - 1), lb) + 1
+                stop = min(r + max(1, _CHUNK // starts[top]), n_rows)
+                counts = _union_counts(his[:, r:stop], los[:, : starts[top]])
+                least[r:stop, :top] = np.minimum.reduceat(counts, starts[:top], axis=1)
+                r = stop
         self.least = np.zeros((len(hi), lb + 1), dtype=np.intp)
-        blocks, self.count = _walk(self.n_in, max_size)
-        for rows, cols, groups in blocks:
-            unions = self._unions(rows, cols)
-            self.least[rows, : len(groups)] = np.minimum.reduceat(unions, groups, axis=1)
-
-    def _unions(self, rows, cols):
-        """Union popcounts over the rows ``rows`` and the columns ``cols``
-        (a slice): one broadcast OR per word."""
-        total = None
-        for lo, hi in self.tables:
-            count = np.bitwise_count(hi[rows, None] | lo[cols])
-            if total is None:
-                total = count.astype(np.intp) if len(self.tables) > 7 else count
-            else:
-                total += count  # at most 7 * 32 in uint8
-        return total
+        self.least[order[ncols:] - ncols] = least[np.cumsum(new[ncols:]) - 1]
 
     def members(self, cells):
         """(masks, sizes, counts) of the subsets in the selected ``cells``,
         flattened, in blocks of at most ``_CHUNK`` unions: the re-expansion of
-        the cells whose least count matters.  Each block holds cells of one
-        low popcount q, and expands only that group's columns."""
-        for q in range(cells.shape[1]):
+        the cells whose least count matters, over the original masks.  Each
+        block holds cells of one low popcount q, and expands only that
+        group's columns."""
+        for q in np.flatnonzero(cells.any(axis=0)):
             rows = np.flatnonzero(cells[:, q])
             cols = slice(self.lo_starts[q], self.lo_starts[q + 1])
             lo = self.lo[cols]
@@ -233,7 +283,8 @@ class _Kernel:
                 block = rows[r : r + step]
                 sizes = np.repeat(self.hi_pop[block] + q, len(lo))
                 masks = (self.hi_masks[block, None] | lo).ravel()
-                yield masks, sizes, self._unions(block, cols).ravel()
+                counts = _union_counts(self.hi_words[:, block], self.lo_words[:, cols])
+                yield masks, sizes, counts.ravel()
 
     def read(self, value, fails, stop_at_failure):
         """The least (value, witness) over the scanned subsets, read off the
@@ -258,7 +309,7 @@ class _Kernel:
             # come after c_0 < c_1 < ... in lexicographic order.
             elems = _mask_to_set(first)
             after = sum(math.comb(n_in - 1 - c, size - i) for i, c in enumerate(elems))
-            checked = sum(math.comb(n_in, j) for j in range(1, size + 1)) - after
+            checked = _subsets_upto(n_in, size) - after
             # The scanned subsets of this size before ``first`` pass, so they
             # have more neighbors and (bsc's ratio rising with |N|) a larger
             # value: the witness is ``first`` or in a smaller cell.

@@ -220,6 +220,32 @@ def subset_scan(inc, max_size, exclude_self=False, target=None):
     return best[0] / best[1], _mask_to_set(best[2]), checked, False
 
 
+def kernel_cells(inc, max_size, lo_bits=12):
+    """The least |N(X)| of every cell of the subset kernel, by brute force.
+
+    Inputs 0 .. lo_bits - 1 form the low half of a subset and the rest its
+    high half.  Row i is the i-th high mask in (popcount, value) order and
+    column q a low popcount; the cell holds the subsets with that high half
+    and q low inputs.  A cell with no subset of 1 .. max_size inputs is
+    None."""
+    masks = _masks(inc)
+
+    def unions(ms):  # the neighbor union of every subset of ``ms``, by bitmask
+        out = [0]
+        for m in ms:
+            out += [u | m for u in out]
+        return out
+
+    lo, hi = unions(masks[:lo_bits]), unions(masks[lo_bits:])
+    groups = [[u for low, u in enumerate(lo) if low.bit_count() == q] for q in range(lo_bits + 1)]
+    table = []
+    for high in sorted(range(len(hi)), key=lambda h: (h.bit_count(), h)):
+        table.append([min((hi[high] | u).bit_count() for u in group)
+                      if 1 <= high.bit_count() + q <= max_size else None
+                      for q, group in enumerate(groups)])
+    return table
+
+
 def _draws(n, max_size, budget, seed):
     """The sampled modes' draws: ``budget`` sorted index tuples per size."""
     rng = seeded_rng(seed)

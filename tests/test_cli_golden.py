@@ -58,6 +58,14 @@ CASES = [
     ("verify-bsc-sampled", 0, ["verify-bsc", "--graph", "ring4.txt", "--alpha", "0.75",
                                "--c", "1.0", "--mode", "sampled", "--budget", "7",
                                "--seed", "3"]),
+    # 13 to 24 inputs run the cell kernel; the cases above read one row.
+    ("verify-bsc-gq22-pass", 0, ["verify-bsc", "--graph", "gq22.txt", "--alpha", "0.5",
+                                 "--c", "1.3846153846153846"]),
+    ("verify-bsc-gq22-refuted", 1, ["verify-bsc", "--graph", "gq22.txt", "--alpha", "0.5",
+                                    "--c", "2.0"]),
+    ("verify-magnifier-cayley-s4", 0, ["verify-magnifier", "--graph", "cayley_s4.txt"]),
+    ("verify-expander-cover-z20", 0, ["verify-expander", "--graph", "cover_z20.txt",
+                                      "--c", "0.5"]),
     ("verify-magnifier", 0, ["verify-magnifier", "--graph", "bowtie6.txt"]),
     ("verify-magnifier-claim", 1, ["verify-magnifier", "--graph", "c5.txt", "--c", "1.5"]),
     ("verify-expander", 0, ["verify-expander", "--graph", "ring4.txt", "--c", "0.5"]),

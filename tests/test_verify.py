@@ -446,6 +446,43 @@ def test_bsc_report_is_the_same_across_word_boundaries(X, n_in, c, data):
         assert rep.verdict is not want[3]
 
 
+@st.composite
+def twin_incidences(draw):
+    """13-20 inputs over 5, 32, 33, 64 or 65 outputs (neighbor keys of one
+    to three 32-bit words); each input reaches nothing, everything, a copy
+    of an earlier input's outputs (a twin) or a random set, so many subsets
+    share a neighbor union, within one size and across sizes."""
+    n_in = draw(st.integers(13, 20))
+    n_out = draw(st.sampled_from([5, 32, 33, 64, 65]))
+    rows = []
+    for _ in range(n_in):
+        kind = draw(st.sampled_from(["empty", "full", "twin", "random"]))
+        if kind == "empty":
+            rows.append(frozenset())
+        elif kind == "full":
+            rows.append(frozenset(range(n_out)))
+        elif kind == "twin" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(draw(st.frozensets(st.integers(0, n_out - 1), max_size=4)))
+    return np.array([[int(j in row) for j in range(n_out)] for row in rows], dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inc=twin_incidences(), data=st.data())
+def test_kernel_cells_match_the_brute_force_minima(inc, data):
+    # The kernel takes each cell's least count over distinct neighbor
+    # unions only; every cell that holds an eligible subset must still hold
+    # the least count over all of its subsets.
+    max_size = data.draw(st.integers(1, len(inc)))
+    least = verify._Kernel(verify._neighbor_words(inc), max_size).least
+    want = oracles.kernel_cells(inc, max_size)
+    assert least.shape == (len(want), len(want[0]))
+    got = [[int(x) if w is not None else None for x, w in zip(row, wrow)]
+           for row, wrow in zip(least.tolist(), want)]
+    assert got == want
+
+
 @pytest.mark.parametrize("empty", [0, 5, 15])
 def test_an_input_that_refutes_nothing_leaves_a_refuted_report_unchanged(empty):
     # 16 inputs, input ``empty`` reaching nothing, and the same graph with a
