@@ -166,7 +166,7 @@ def dim_sum_D(G: FiniteGroup, table: CharacterTable | None = None) -> int:
 
 
 def trivial_restriction_multiplicities(
-    G: FiniteGroup, H: FiniteGroup, table: CharacterTable | None = None, tol: float = 1e-8
+    G: FiniteGroup, H: FiniteGroup, table: CharacterTable | None = None
 ) -> tuple[int, ...]:
     """Multiplicity of H's trivial representation in each irreducible of G,
     computed as the average of character values over H."""
@@ -177,7 +177,7 @@ def trivial_restriction_multiplicities(
     mults = []
     for chi in table.chars:
         m = chi[h_classes].sum() / len(H)
-        if abs(m.imag) > tol or abs(m.real - round(m.real)) > tol:
+        if abs(m.imag) > 1e-8 or abs(m.real - round(m.real)) > 1e-8:
             raise CharacterError(f"non-integer trivial multiplicity {m}")
         mults.append(round(m.real))
     return tuple(mults)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -60,10 +59,6 @@ def parse_permutation(line: str, degree: int | None = None) -> Permutation:
     return Permutation(images)
 
 
-def format_permutation(p: Permutation) -> str:
-    return " ".join(str(i) for i in p.images)
-
-
 def _content_lines(text: str) -> list[str]:
     lines = [ln.strip() for ln in text.splitlines()]
     return [ln for ln in lines if ln and not ln.startswith("#")]
@@ -82,23 +77,15 @@ def parse_permutation_list(text: str) -> tuple[int, tuple[Permutation, ...]]:
     return degree, perms
 
 
-def parse_group_text(
-    text: str, cap: int = DEFAULT_CLOSURE_CAP, name: str = ""
-) -> FiniteGroup:
+def parse_group_text(text: str, name: str = "") -> FiniteGroup:
     """Group file -> enumerated group (closure of the listed generators)."""
     degree, gens = parse_permutation_list(text)
-    return closure(degree, gens, cap=cap, name=name)
+    return closure(degree, gens, cap=DEFAULT_CLOSURE_CAP, name=name)
 
 
-def format_permutation_list(degree: int, perms: Sequence[Permutation]) -> str:
-    lines = [f"degree {degree}"]
-    lines.extend(format_permutation(p) for p in perms)
-    return "\n".join(lines) + "\n"
-
-
-def load_group(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def load_group(path: str | Path) -> FiniteGroup:
     p = Path(path)
-    return parse_group_text(_read_text(p), cap=cap, name=p.stem)
+    return parse_group_text(_read_text(p), name=p.stem)
 
 
 def load_multiset(path: str | Path) -> tuple[int, tuple[Permutation, ...]]:

@@ -41,7 +41,6 @@ import numpy as np
 
 from .characters import (
     BoundInputs,
-    CharacterTable,
     bound_eval,
     character_table,
     dim_sum_D,
@@ -248,7 +247,7 @@ def _checked(variant: str, operators: _Operators) -> _Operators:
     return operators
 
 
-def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operators):
+def _run_trials(variant, G, subgroups, k, eps, trials, seed, make_operators):
     """One batch: validate, evaluate the bound, draw trial t's multiset from
     ``seeded_rng(seed, t)``, solve the operators of ``make_operators()`` and
     record the tail.  ``subgroups`` is () for thm14, (H,) for thm15 and (L, N)
@@ -263,7 +262,7 @@ def _run_trials(variant, G, subgroups, k, eps, trials, seed, table, make_operato
     if seed < 0:
         raise MonteCarloError(f"seed must be >= 0, got {seed}")
     operators = _checked(variant, make_operators())
-    table = character_table(G) if table is None else table
+    table = character_table(G)
     sums = dim_sums_both(G, subgroups[0], table) if subgroups else {"D": dim_sum_D(G, table)}
     bounds = []
     for kind, D in sums.items():
@@ -303,11 +302,10 @@ def run_cayley_trials(
     eps: float,
     trials: int,
     seed: int,
-    table: CharacterTable | None = None,
 ) -> TrialBatch:
     """Random Cayley multigraphs: tail of mu* past eps vs the dimension-sum bound."""
     return _run_trials(
-        "thm14", G, (), k, eps, trials, seed, table, lambda: _cayley_operators(G)
+        "thm14", G, (), k, eps, trials, seed, lambda: _cayley_operators(G)
     )
 
 
@@ -318,11 +316,10 @@ def run_coset_trials(
     eps: float,
     trials: int,
     seed: int,
-    table: CharacterTable | None = None,
 ) -> TrialBatch:
     """Random coset graphs on [G:H], normalized by their degree."""
     return _run_trials(
-        "thm15", G, (H,), k, eps, trials, seed, table, lambda: _coset_operators(G, H)
+        "thm15", G, (H,), k, eps, trials, seed, lambda: _coset_operators(G, H)
     )
 
 
@@ -334,7 +331,6 @@ def run_bicoset_trials(
     eps: float,
     trials: int,
     seed: int,
-    table: CharacterTable | None = None,
 ) -> TrialBatch:
     """Random bi-coset graphs: mu* of the scaled input-side Gram A A^T / (2k^2).
 
@@ -342,7 +338,7 @@ def run_bicoset_trials(
     recorded per trial since the scaling caps it at 1/2 in the bi-Cayley case.
     """
     return _run_trials(
-        "thm18", G, (L, N), k, eps, trials, seed, table, lambda: _gram_operators(G, L, N)
+        "thm18", G, (L, N), k, eps, trials, seed, lambda: _gram_operators(G, L, N)
     )
 
 

@@ -74,24 +74,6 @@ class Permutation:
     def __call__(self, point: int) -> int:
         return self.images[point]
 
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, each rotated to start at its least point."""
-        out = []
-        seen = [False] * self.degree
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            p = self.images[start]
-            while p != start:
-                cyc.append(p)
-                seen[p] = True
-                p = self.images[p]
-            out.append(tuple(cyc))
-        return tuple(out)
-
 
 def identity_perm(degree: int) -> Permutation:
     return Permutation(tuple(range(degree)))
@@ -876,6 +858,6 @@ MATHIEU12_GENERATORS: tuple[Permutation, ...] = (
 MATHIEU12_BASE_BLOCK: tuple[int, ...] = (0, 1, 2, 9, 10, 11)
 
 
-def mathieu12_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def mathieu12_group() -> FiniteGroup:
     """Enumerate all 95040 elements of the 5-transitive group on 12 points."""
-    return closure(12, MATHIEU12_GENERATORS, cap=cap, name="M12")
+    return closure(12, MATHIEU12_GENERATORS, cap=DEFAULT_CLOSURE_CAP, name="M12")

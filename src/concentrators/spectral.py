@@ -73,9 +73,7 @@ def _check_symmetric(M: np.ndarray, tol: float) -> np.ndarray:
     return S
 
 
-def jacobi_eigensystem(
-    M: np.ndarray, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, float]:
+def jacobi_eigensystem(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
 
     Returns ``(w, V, residual)`` with eigenvalues ``w`` sorted descending,
@@ -83,7 +81,7 @@ def jacobi_eigensystem(
     up to the residual), and the off-diagonal Frobenius norm at termination.
     Raises if the target relative off-norm is not reached in ``MAX_SWEEPS``.
     """
-    A = _check_symmetric(M, tol)
+    A = _check_symmetric(M, DEFAULT_TOL)
     if A.ndim != 2:
         raise SpectralError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
@@ -93,7 +91,7 @@ def jacobi_eigensystem(
         w = np.diag(A).copy()
         order = np.argsort(-w, kind="stable")
         return w[order], V[:, order], 0.0
-    target = tol * norm
+    target = DEFAULT_TOL * norm
     # Rotations below this size cannot push the off-norm above target.
     skip = target / (n * n)
     for _ in range(MAX_SWEEPS):
@@ -190,16 +188,16 @@ def sym_eigenvalues(M: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralReport:
     )
 
 
-def mu_star(M: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def mu_star(M: np.ndarray) -> float:
     """Second largest eigenvalue in absolute value (with multiplicity)."""
     A = np.asarray(M, dtype=float)
     if A.shape[0] < 2:
         raise SpectralError("mu_star needs a matrix of dimension >= 2")
-    w, _ = _solve_one(A, tol)
+    w, _ = _solve_one(A, DEFAULT_TOL)
     return _second_largest_abs(w)
 
 
-def laplacian_gap(graph, tol: float = DEFAULT_TOL) -> float:
+def laplacian_gap(graph) -> float:
     """Second-smallest eigenvalue of Q = diag(degree) - A; 0 iff disconnected."""
     adj = np.asarray(graph.adj, dtype=float)
     if adj.shape[0] < 2:
@@ -207,7 +205,7 @@ def laplacian_gap(graph, tol: float = DEFAULT_TOL) -> float:
     if np.any(np.diag(adj) != 0):
         raise SpectralError("laplacian_gap rejects graphs with loops")
     Q = np.diag(adj.sum(axis=1)) - adj
-    w, _ = _solve_one(Q, tol)
+    w, _ = _solve_one(Q, DEFAULT_TOL)
     return float(w[-2])
 
 
@@ -231,11 +229,12 @@ def tanner_bound(
     return k * k / (alpha * (k * r - lambda2) + lambda2)
 
 
-def ramanujan_check(c: float, d: float, mu1: float, tol: float = 1e-9) -> bool:
-    """Is mu1 <= sqrt(c-1) + sqrt(d-1) for a (c,d)-biregular graph?"""
+def ramanujan_check(c: float, d: float, mu1: float) -> bool:
+    """Is mu1 <= sqrt(c-1) + sqrt(d-1) for a (c,d)-biregular graph (with a
+    1e-9 slack)?"""
     if c < 1 or d < 1:
         raise SpectralError("degrees must be >= 1")
-    return mu1 <= math.sqrt(c - 1) + math.sqrt(d - 1) + tol
+    return mu1 <= math.sqrt(c - 1) + math.sqrt(d - 1) + 1e-9
 
 
 def magnifier_gap_bound(eps: float) -> float:
@@ -245,6 +244,7 @@ def magnifier_gap_bound(eps: float) -> float:
     return eps * eps / (4.0 + 2.0 * eps * eps)
 
 
-def magnifier_gap_check(eps: float, lam: float, tol: float = 1e-9) -> bool:
-    """Does the observed Laplacian gap meet the magnifier-implied bound?"""
-    return lam >= magnifier_gap_bound(eps) - tol
+def magnifier_gap_check(eps: float, lam: float) -> bool:
+    """Does the observed Laplacian gap meet the magnifier-implied bound (with
+    a 1e-9 slack)?"""
+    return lam >= magnifier_gap_bound(eps) - 1e-9

@@ -1,14 +1,15 @@
 """Combinatorial oracles: concentration, magnification, and expansion checks.
 
 Each check minimizes a function of |X| and |N(X)| alone over the eligible
-input sets X, so it is a pair of small tables indexed by [|X|, |N(X)|]:
-``value`` (the bsc ratio |N(X)|/|X|, the magnifier ratio, or the largest
-expander constant that passes) and ``fails`` (the bsc or expander inequality
-does not hold; the magnifier has none).  The magnifier scans the support of
-A + I, whose neighbor union of X is N(X) ∪ X, and reads |N(X) - X|/|X| as
-(|N(X) ∪ X| - |X|)/|X|.  Every scan reports the least (value, witness), the
-witness being the lexicographically least index tuple among float-equal
-minima.
+input sets X, so it is a pair of small tables indexed by [|X|, |N(X)|], with
+one row per size 0..n_in: ``value`` (the bsc ratio |N(X)|/|X|, the magnifier
+ratio, or the largest expander constant that passes) and ``fails`` (the bsc
+or expander inequality does not hold; the magnifier has none).  The rows
+outside 1..max_size hold inf and False, so a read looks any size up without
+checking it.  The magnifier scans the support of A + I, whose neighbor union
+of X is N(X) ∪ X, and reads |N(X) - X|/|X| as (|N(X) ∪ X| - |X|)/|X|.  Every
+scan reports the least (value, witness), the witness being the
+lexicographically least index tuple among float-equal minima.
 
 A scan is a gather and a read.  The gather (``_gather``) takes the neighbor
 counts of the eligible subsets once; its ``read(value, fails,
@@ -27,43 +28,45 @@ decreases and ``fails`` never turns from False to True as |N(X)| grows, and
 subsets of one size, and whether any of them fails, is read at that size's
 least |N(X)|.
 
-Exhaustive mode (up to 24 inputs) runs one kernel, ``_Kernel``.  A subset is
-a bitmask split into a low half of 12 bits and a high half, and both
-halves' masks are taken in popcount order (computed once per bit count).  A
-cell is one high mask with one low popcount q; the subset's size is the high
-popcount p plus q.  The kernel covers only eligible subsets: for each high
-mask the low columns with popcount at most max_size - p (so 24 inputs with
-max_size 12 cover 9,740,685 subsets, not 2^24 - 1).  Neighbor sets are split
-into 32-bit words; each half has a table of the neighbor union of every
-subset of its bits, built by doubling.  Columns of one popcount with the
-same union (all words) give the same counts, and rows of one popcount with
-the same union the same cells, so the counts are taken over distinct
-(popcount, union) columns and rows only, found by one sort per word, and
-each row copies its distinct row's cells.  A block of at most 2^17 unions
-costs one broadcast OR per word and a popcount, and ``np.minimum.reduceat``
-over the columns' popcount groups reduces it to a table of the least |N(X)|
-per cell.
+Exhaustive mode (up to 24 inputs) has one read, ``_Cells.read``, over cells
+of subsets of one size: each gather gives every cell's size and least
+|N(X)|, and re-expands the cells it is asked for to find the
+lexicographically least subset that attains a table entry.  The least value
+is the least over the cells of the value at the cell's least |N(X)|; only
+the cells that attain it are re-expanded.  ``subsets_checked`` counts the
+eligible subsets the scan covers.
 
-The answers are read off that table.  The least value is the least over the
-cells of the value at the cell's least |N(X)|; only the cells that attain it
-are re-expanded on the original masks, each over the columns of its own low
-popcount, to find the lexicographically least witness.
-``subsets_checked`` counts the eligible subsets the scan covers.
+From 13 inputs the gather is one kernel, ``_Kernel``.  A subset is a bitmask
+split into a low half of 12 bits and a high half, and both halves' masks are
+taken in popcount order (computed once per bit count).  A cell is one high
+mask with one low popcount q; the subset's size is the high popcount p plus
+q.  The kernel covers only eligible subsets: for each high mask the low
+columns with popcount at most max_size - p (so 24 inputs with max_size 12
+cover 9,740,685 subsets, not 2^24 - 1).  Neighbor sets are split into 32-bit
+words; each half has a table of the neighbor union of every subset of its
+bits, built by doubling.  Columns of one popcount with the same union (all
+words) give the same counts, and rows of one popcount with the same union
+the same cells, so the counts are taken over distinct (popcount, union)
+columns and rows only, found by one sort per word, and each row copies its
+distinct row's cells.  A block of at most 2^17 unions costs one broadcast OR
+per word and a popcount, and ``np.minimum.reduceat`` over the columns'
+popcount groups reduces it to a table of the least |N(X)| per cell.  A cell
+is re-expanded on the original masks, over the columns of its own low
+popcount.
 
-Up to ``_LO_BITS`` inputs the high half is empty and the kernel is one row,
-which ``_OneRow`` reads subset by subset instead (``_row_order``, cached per
-input count, holds the row in (size, lexicographic) order with each subset's
-lexicographic rank across sizes; the eligible subsets for any max_size are a
-prefix).  Its counts give ``value`` and ``fails`` per subset, and the witness
-is the attaining subset of least lexicographic rank.
+Up to ``_LO_BITS`` inputs the high half is empty and the kernel would be one
+row, which ``_OneRow`` gathers subset by subset instead: every eligible
+subset is its own cell (``_row_order``, cached per input count, holds the
+row in (size, lexicographic) order with each subset's lexicographic rank
+across sizes; the eligible subsets for any max_size are a prefix), and the
+least of the selected cells is the one of least rank.
 
 A bsc scan stops right after its first failing subset in (size,
-lexicographic) order, as a loop over ``itertools.combinations`` would.
-``_OneRow`` reads that order directly.  The kernel reads it off the cell
-table: the least size s with a failing cell holds the first failing subset,
-the lexicographically least failing member of those cells, and the scan
-covers every smaller size and the subsets of size s up to that one, whose
-lexicographic rank among them has a closed form.
+lexicographic) order, as a loop over ``itertools.combinations`` would.  The
+read finds it off the cells: the least size s with a failing cell holds the
+first failing subset, the lexicographically least failing member of those
+cells, and the scan covers every smaller size and the subsets of size s up
+to that one, whose lexicographic rank among them has a closed form.
 
 Sampled mode (``_Sampled``) draws ``budget`` random subsets per size, reduces
 them with the same tables, and can only refute a claimed constant, never
@@ -83,7 +86,7 @@ from .permgroup import seeded_rng
 
 EXHAUSTIVE_CAP = 24
 # The kernel's low half has this many bits; with at most this many inputs the
-# high half is empty and the scan reads the kernel's one row (``_OneRow``).
+# high half is empty and the scan gathers the kernel's one row (``_OneRow``).
 _LO_BITS = 12
 # The most unions of one kernel block (blocks of 2^18 ran about a third slower
 # on the 24-input magnifier scan).
@@ -204,7 +207,50 @@ def _union_counts(his, los):
     return total
 
 
-class _Kernel:
+class _Cells:
+    """The exhaustive read, shared by the two exhaustive gathers.  A gather
+    of the ``n_in`` rows ``words`` covers ``count`` subsets in cells, and
+    gives each cell's size (``sizes``) and least |N(X)| (``least``);
+    ``_least(cells, table, target)`` is the lexicographically least subset
+    of the selected cells with ``table[|X|, |N(X)|] == target``, or None."""
+
+    def read(self, value, fails, stop_at_failure):
+        """The least (value, witness) over the scanned subsets, read off the
+        least count per cell (``value``/``fails`` are monotone in |N|).  A
+        scan that stops at its first failure covers the sizes below the least
+        failing size and that size's subsets up to the first failing one."""
+        n_in, sizes = self.n_in, self.sizes
+        cell_value = value[sizes, self.least]
+        failed, checked, first = False, self.count, None
+        if fails is not None:
+            cell_fails = fails[sizes, self.least]
+            failed = bool(cell_fails.any())
+        if failed and stop_at_failure:
+            size = int(sizes[cell_fails].min())
+            first = self._least(cell_fails & (sizes == size), fails, True)
+            # Of the subsets of this size, sum_i C(n_in - 1 - c_i, size - i)
+            # come after c_0 < c_1 < ... in lexicographic order.
+            elems = _mask_to_set(first)
+            after = sum(math.comb(n_in - 1 - c, size - i) for i, c in enumerate(elems))
+            checked = _subsets_upto(n_in, size) - after
+            # The scanned subsets of this size before ``first`` pass, so they
+            # have more neighbors and (bsc's ratio rising with |N|) a larger
+            # value: the witness is ``first`` or in a smaller cell.
+            count = int(np.bitwise_count(np.bitwise_or.reduce(self.words[list(elems)])).sum())
+            first_value = value[size, count]
+            cell_value = np.where(sizes < size, cell_value, np.inf)
+            low = min(cell_value.min(), first_value)
+            if first_value != low:
+                first = None
+        else:
+            low = cell_value.min()
+        witness = self._least(cell_value == low, value, low)
+        if first is not None:
+            witness = first if witness is None else min(first, witness, key=_lex_key)
+        return float(low), _mask_to_set(witness), checked, failed
+
+
+class _Kernel(_Cells):
     """Neighbor counts |N(X)| of the subsets of at most ``max_size`` of
     _LO_BITS < n_in <= 24 inputs.
 
@@ -217,8 +263,8 @@ class _Kernel:
     for the columns and rows that hold an eligible subset.
 
     ``least`` is the least count of every eligible cell, one whose size
-    p + q is at most ``max_size``.  ``read`` looks cells up by size, so it
-    never reads the others, which hold 0 or the count of a larger subset.
+    p + q is at most ``max_size``.  The other cells hold 0 or the count of a
+    larger subset, and the tables hold inf and False at their sizes.
     Columns of one low popcount with the same union give the same counts,
     and rows of one high popcount with the same union the same cells, so the
     counts are taken over the distinct unions only (``_distinct``), and each
@@ -268,65 +314,25 @@ class _Kernel:
         self.least = np.zeros((len(hi), lb + 1), dtype=np.intp)
         self.least[order[ncols:] - ncols] = least[np.cumsum(new[ncols:]) - 1]
 
-    def members(self, cells):
-        """(masks, sizes, counts) of the subsets in the selected ``cells``,
-        flattened, in blocks of at most ``_CHUNK`` unions: the re-expansion of
-        the cells whose least count matters, over the original masks.  Each
-        block holds cells of one low popcount q, and expands only that
-        group's columns."""
-        for q in np.flatnonzero(cells.any(axis=0)):
-            rows = np.flatnonzero(cells[:, q])
-            cols = slice(self.lo_starts[q], self.lo_starts[q + 1])
-            lo = self.lo[cols]
-            step = max(1, _CHUNK // len(lo))
-            for r in range(0, len(rows), step):
-                block = rows[r : r + step]
-                sizes = np.repeat(self.hi_pop[block] + q, len(lo))
-                masks = (self.hi_masks[block, None] | lo).ravel()
-                counts = _union_counts(self.hi_words[:, block], self.lo_words[:, cols])
-                yield masks, sizes, counts.ravel()
-
-    def read(self, value, fails, stop_at_failure):
-        """The least (value, witness) over the scanned subsets, read off the
-        least count per cell (``value``/``fails`` are monotone in |N|).  A
-        scan that stops at its first failure covers the sizes below the least
-        failing size and that size's subsets up to the first failing one."""
-        n_in, sizes = self.n_in, self.sizes
-        size_value = _size_rows(value, n_in, np.inf)
-        cell_value = size_value[sizes, self.least]
-        failed, checked, best = False, self.count, []
-        if fails is not None:
-            size_fails = _size_rows(fails, n_in, False)
-            cell_fails = size_fails[sizes, self.least]
-            failed = bool(cell_fails.any())
-        if failed and stop_at_failure:
-            size = int(sizes[cell_fails].min())
-            # every block of failing cells holds a failing subset
-            first = min((_lex_least(masks[size_fails[size, counts]])
-                         for masks, _, counts in self.members(cell_fails & (sizes == size))),
-                        key=_lex_key)
-            # Of the subsets of this size, sum_i C(n_in - 1 - c_i, size - i)
-            # come after c_0 < c_1 < ... in lexicographic order.
-            elems = _mask_to_set(first)
-            after = sum(math.comb(n_in - 1 - c, size - i) for i, c in enumerate(elems))
-            checked = _subsets_upto(n_in, size) - after
-            # The scanned subsets of this size before ``first`` pass, so they
-            # have more neighbors and (bsc's ratio rising with |N|) a larger
-            # value: the witness is ``first`` or in a smaller cell.
-            count = int(np.bitwise_count(np.bitwise_or.reduce(self.words[list(elems)])).sum())
-            first_value = size_value[size, count]
-            cell_value = np.where(sizes < size, cell_value, np.inf)
-            low = min(cell_value.min(), first_value)
-            if first_value == low:
-                best.append(first)
-        else:
-            low = cell_value.min()
-        for masks, s, counts in self.members(cell_value == low):
-            masks = masks[size_value[s, counts] == low]
-            if masks.size:
-                best.append(_lex_least(masks))
-        witness = best[0] if len(best) == 1 else min(best, key=_lex_key)
-        return float(low), _mask_to_set(witness), checked, failed
+    def _least(self, cells, table, target):
+        """Re-expands the selected cells over the original masks, in blocks
+        of at most ``_CHUNK`` unions of cells of one low popcount q, each
+        over that group's columns only (under the 64-element buffer)."""
+        best = []
+        with np.errstate():
+            np.setbufsize(64)
+            for q in np.flatnonzero(cells.any(axis=0)):
+                rows = np.flatnonzero(cells[:, q])
+                cols = slice(self.lo_starts[q], self.lo_starts[q + 1])
+                lo = self.lo[cols]
+                step = max(1, _CHUNK // len(lo))
+                for r in range(0, len(rows), step):
+                    block = rows[r : r + step]
+                    counts = _union_counts(self.hi_words[:, block], self.lo_words[:, cols])
+                    hit = table[self.hi_pop[block, None] + q, counts] == target
+                    if hit.any():
+                        best.append(_lex_least((self.hi_masks[block, None] | lo)[hit]))
+        return min(best, key=_lex_key, default=None)
 
 
 _FLIP = str.maketrans("01", "10")
@@ -375,48 +381,31 @@ def _row_order(n_in):
     return _read_only(lex[order], sizes, order, upto)
 
 
-class _OneRow:
+class _OneRow(_Cells):
     """Neighbor counts |N(X)| of the subsets of at most ``max_size`` of
-    n_in <= _LO_BITS inputs, one per subset in (size, lexicographic) order."""
+    n_in <= _LO_BITS inputs: the kernel's one row, with every eligible
+    subset its own cell, in (size, lexicographic) order."""
 
     def __init__(self, words, max_size):
-        masks, sizes, self.rank, upto = _row_order(len(words))
-        end = int(upto[max_size])
-        self.masks, self.rows = masks[:end], sizes[:end] - 1
-        self.counts = np.zeros(end, dtype=np.intp)
+        self.words, self.n_in = words, len(words)
+        masks, sizes, self.rank, upto = _row_order(self.n_in)
+        self.count = int(upto[max_size])
+        self.masks, self.sizes = masks[: self.count], sizes[: self.count]
+        self.least = np.zeros(self.count, dtype=np.intp)
         for col in words.T:
-            self.counts += np.bitwise_count(_union_table(col)[self.masks])
+            self.least += np.bitwise_count(_union_table(col)[self.masks])
 
-    def read(self, value, fails, stop_at_failure):
-        """The least (value, witness) in that order: a bsc scan stops at its
-        first failing subset, and the witness is the least in lexicographic
-        order among the scanned subsets that attain the least value."""
-        values = value[self.rows, self.counts]
-        end = len(values)
-        failed = False
-        if fails is not None:
-            bad = fails[self.rows, self.counts]
-            failed = bool(bad.any())
-            if failed and stop_at_failure:
-                end = int(bad.argmax()) + 1
-                values = values[:end]
-        low = values.min()
-        hits = (values == low).nonzero()[0]
-        witness = int(self.masks[hits[self.rank[hits].argmin()]])
-        return float(low), _mask_to_set(witness), end, failed
-
-
-def _size_rows(table, n_in, fill) -> np.ndarray:
-    """The rows of ``table`` (sizes 1, 2, ...) placed among rows 0..n_in of
-    ``fill``, for lookup by [size, |N|]."""
-    rows = np.full((n_in + 1, table.shape[1]), fill, dtype=table.dtype)
-    rows[1 : len(table) + 1] = table
-    return rows
+    def _least(self, cells, table, target):
+        """The selected subset of least lexicographic rank: a cell is one
+        subset, selected only where the table holds the target."""
+        hits = cells.nonzero()[0]
+        return int(self.masks[hits[self.rank[hits].argmin()]]) if hits.size else None
 
 
 class _Sampled:
     """``budget`` sorted ``rng.choice(n_in, size, replace=False)`` draws per
-    size, one at a time, with the neighbor count |N(X)| of each."""
+    size, one at a time, with the size and neighbor count |N(X)| of each,
+    which index the tables directly."""
 
     def __init__(self, words, max_size, budget, seed):
         rng = seeded_rng(seed)
@@ -429,13 +418,13 @@ class _Sampled:
                 union = 0
                 for v in combo:
                     union |= masks[v]
-                self.draws.append((size - 1, union.bit_count(), combo))
+                self.draws.append((size, union.bit_count(), combo))
 
     def read(self, value, fails, stop_at_failure):
         """The least (value, draw); a sampled scan never stops early."""
         value = value.tolist()
-        best = min((value[row][nbrs], combo) for row, nbrs, combo in self.draws)
-        failed = fails is not None and any(fails[row, nbrs] for row, nbrs, _ in self.draws)
+        best = min((value[size][nbrs], combo) for size, nbrs, combo in self.draws)
+        failed = fails is not None and any(fails[size, nbrs] for size, nbrs, _ in self.draws)
         return (*best, len(self.draws), failed)
 
 
@@ -479,24 +468,28 @@ def _check_monotone(value, fails) -> None:
 
 def _grid(max_size, n_out):
     """A size column 1..max_size and the neighbor counts 0..n_out, which
-    broadcast to the [|X| - 1, |N|] grid of a table."""
+    broadcast to the eligible rows of a table."""
     return np.arange(1, max_size + 1)[:, None], np.arange(n_out + 1)
 
 
 @functools.lru_cache(maxsize=64)  # bounded: sampled mode takes any graph size
 def _value_table(ratio, n_in, n_out, max_size) -> np.ndarray:
-    """``ratio(n_in, sizes, nbrs)`` on the ``_grid``: built, checked monotone
-    and made read-only once per shape."""
-    value = ratio(n_in, *_grid(max_size, n_out))
+    """``ratio(n_in, sizes, nbrs)`` on the ``_grid``, in a table with one
+    row per size 0..n_in and inf in the others: built, checked monotone and
+    made read-only once per shape."""
+    value = np.full((n_in + 1, n_out + 1), np.inf)
+    value[1 : max_size + 1] = ratio(n_in, *_grid(max_size, n_out))
     _check_monotone(value, None)
     return _read_only(value)[0]
 
 
 @functools.lru_cache(maxsize=64)  # bounded: the claimed constant takes any value
 def _fails_table(fails, n_in, n_out, max_size, c) -> np.ndarray:
-    """``fails(n_in, c, sizes, nbrs)`` on the ``_grid``: built, checked
-    monotone and made read-only once per shape and claimed constant."""
-    table = fails(n_in, c, *_grid(max_size, n_out))
+    """``fails(n_in, c, sizes, nbrs)`` on the ``_grid``, in a table with one
+    row per size 0..n_in and False in the others: built, checked monotone
+    and made read-only once per shape and claimed constant."""
+    table = np.zeros((n_in + 1, n_out + 1), dtype=bool)
+    table[1 : max_size + 1] = fails(n_in, c, *_grid(max_size, n_out))
     _check_monotone(None, table)
     return _read_only(table)[0]
 

@@ -130,18 +130,16 @@ def _peak_mib(run):
         tracemalloc.stop()
 
 
-def test_peak_memory_does_not_grow_with_k(s4, s4_table):
+def test_peak_memory_does_not_grow_with_k(s4):
     # Sizing stacks by operator bytes alone gathers 113 trials' 20000 x 24
     # image rows at once: a 233 MiB peak.  The single-trial build of earlier
     # versions peaked at 15.7 MiB.
-    peak = _peak_mib(lambda: run_cayley_trials(s4, k=20000, eps=0.5, trials=20, seed=1,
-                                               table=s4_table))
+    peak = _peak_mib(lambda: run_cayley_trials(s4, k=20000, eps=0.5, trials=20, seed=1))
     assert peak < 32
 
 
-def test_peak_memory_does_not_grow_with_trials(s4, s4_table):
+def test_peak_memory_does_not_grow_with_trials(s4):
     # Earlier versions, building one trial at a time, peaked at 2.9 MiB;
     # drawing the whole batch's index array at once took it to 5.0 MiB.
-    peak = _peak_mib(lambda: run_cayley_trials(s4, k=40, eps=0.5, trials=5000, seed=1,
-                                               table=s4_table))
+    peak = _peak_mib(lambda: run_cayley_trials(s4, k=40, eps=0.5, trials=5000, seed=1))
     assert peak < 2.9 + 1

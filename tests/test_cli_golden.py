@@ -58,6 +58,10 @@ CASES = [
     ("verify-bsc-sampled", 0, ["verify-bsc", "--graph", "ring4.txt", "--alpha", "0.75",
                                "--c", "1.0", "--mode", "sampled", "--budget", "7",
                                "--seed", "3"]),
+    # A sampled scan never stops early: all 4 x 5 draws are read.
+    ("verify-bsc-sampled-refuted", 1, ["verify-bsc", "--graph", "bip45.txt", "--alpha", "1.0",
+                                       "--c", "1.3", "--mode", "sampled", "--budget", "5",
+                                       "--seed", "2"]),
     # 13 to 24 inputs run the cell kernel; the cases above read one row.
     ("verify-bsc-gq22-pass", 0, ["verify-bsc", "--graph", "gq22.txt", "--alpha", "0.5",
                                  "--c", "1.3846153846153846"]),
@@ -74,6 +78,9 @@ CASES = [
     ("lemma11-c5", 0, ["lemma11", "--graph", "c5.txt"]),
     ("lemma11-p4", 0, ["lemma11", "--graph", "p4.txt"]),
     ("lemma11-bowtie6", 0, ["lemma11", "--graph", "bowtie6.txt"]),
+    # Both checks read off one sampled gather.
+    ("lemma11-sampled", 0, ["lemma11", "--graph", "bowtie6.txt", "--mode", "sampled",
+                            "--budget", "4", "--seed", "1"]),
     ("montecarlo-thm14", 0, ["montecarlo", "--group", "s3.txt", "--k", "3", "--eps", "0.5",
                              "--trials", "12", "--seed", "4", "--variant", "thm14"]),
     ("montecarlo-thm15", 0, ["montecarlo", "--group", "s4.txt", "--L", "v4.txt", "--k", "2",

@@ -723,7 +723,25 @@ def test_fails_tables_are_cached_read_only_per_shape_and_constant():
         assert table is _fails_table(fails, 6, 6, 3, 0.5)
         assert not table.flags.writeable
         assert _fails_table(fails, 6, 6, 3, 1.0) is not table
-        assert _fails_table(fails, 6, 7, 3, 0.5).shape == (3, 8)
+        assert _fails_table(fails, 6, 7, 3, 0.5).shape == (7, 8)
+
+
+def test_tables_have_a_read_only_row_per_size_with_inf_and_false_outside():
+    # A read looks any size up: row 0 and the rows past max_size hold inf in
+    # the value tables and False in the fails tables.
+    from concentrators.verify import (_bsc_fails, _bsc_ratio, _expansion_fails, _fails_table,
+                                      _largest_c, _outside_ratio, _value_table)
+
+    n_in, n_out, max_size = 7, 9, 3
+    outside = [0, *range(max_size + 1, n_in + 1)]
+    for ratio in (_bsc_ratio, _outside_ratio, _largest_c):
+        value = _value_table(ratio, n_in, n_out, max_size)
+        assert value.shape == (n_in + 1, n_out + 1) and not value.flags.writeable
+        assert np.isinf(value[outside]).all() and np.isfinite(value[1 : max_size + 1]).all()
+    for fails in (_bsc_fails, _expansion_fails):
+        table = _fails_table(fails, n_in, n_out, max_size, 1.5)
+        assert table.shape == (n_in + 1, n_out + 1) and not table.flags.writeable
+        assert not table[outside].any() and table[1 : max_size + 1, 0].all()
 
 
 # -- the one-row read (up to 12 inputs) ----------------------------------------
