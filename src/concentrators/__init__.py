@@ -13,7 +13,6 @@ from .permgroup import (
     mathieu12_group,
     orbit_of_set,
     right_cosets,
-    sample_multiset,
     seeded_rng,
     symmetric_group,
 )
@@ -46,7 +45,6 @@ from .designs import (
     design_bipartite,
     golay_witt_design,
     mathieu12_designs,
-    semi_transitivity_check,
     validate_design,
 )
 from .characters import (
@@ -69,7 +67,6 @@ from .montecarlo import (
     TrialBatch,
     aggregate_rows,
     enumerate_cayley_tail,
-    product_multisets,
     run_bicoset_trials,
     run_cayley_trials,
     run_coset_trials,

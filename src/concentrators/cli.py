@@ -188,7 +188,8 @@ def _design_payload(d: designs.Design, validate: bool) -> tuple[dict, bool]:
         payload["valid"] = ok
         if witness is not None:
             payload["witness"] = {"subset": list(witness[0]), "count": witness[1]}
-    params = designs.bibd_params(d.t, d.v, d.k, d.gamma)
+    # Strength 1 has no pair count, so no BIBD parameters.
+    params = designs.bibd_params(d.t, d.v, d.k, d.gamma) if d.t >= 2 else None
     if params is not None:
         payload["bibd"] = {
             "v": params.v,

@@ -12,17 +12,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .graphs import BipartiteGraph
-from .permgroup import (
-    MATHIEU12_BASE_BLOCK,
-    MATHIEU12_GENERATORS,
-    Permutation,
-    orbit_of_set,
-)
+from .permgroup import MATHIEU12_BASE_BLOCK, MATHIEU12_GENERATORS, orbit_of_set
 from .spectral import ramanujan_check, sym_eigenvalues
 
 DEFAULT_VALIDATE_CAP = 10**7
@@ -353,54 +347,4 @@ def bibd_spectrum_check(design: Design, tol: float = 1e-8) -> BibdSpectrumReport
         mu1_expected=mu1_expected,
         ramanujan=ramanujan_check(params.r, params.k, mu1),
         ok=max_err <= tol,
-    )
-
-
-def induced_block_permutation(design: Design, g: Permutation) -> Permutation:
-    """The permutation g induces on block indices; fails if g is no automorphism."""
-    if g.degree != design.v:
-        raise DesignError(f"permutation degree {g.degree} != v={design.v}")
-    block_idx = {b: i for i, b in enumerate(design.blocks)}
-    images = []
-    for block in design.blocks:
-        target = tuple(sorted(g.images[x] for x in block))
-        j = block_idx.get(target)
-        if j is None:
-            raise DesignError(f"{g.images} does not permute the blocks")
-        images.append(j)
-    return Permutation(tuple(images))
-
-
-def semi_transitivity_check(
-    X: BipartiteGraph,
-    generators: Sequence[tuple[Permutation, Permutation]],
-) -> bool:
-    """True iff the given side-pair actions preserve multiplicities and are
-    transitive on inputs and on outputs."""
-    for sigma, tau in generators:
-        if sigma.degree != X.n_in or tau.degree != X.n_out:
-            raise DesignError(
-                f"action degrees ({sigma.degree},{tau.degree}) do not match "
-                f"graph sides ({X.n_in},{X.n_out})"
-            )
-        permuted = X.inc[np.ix_(sigma.images, tau.images)]
-        if not np.array_equal(permuted, X.inc):
-            return False
-
-    def transitive(n: int, perms: list[tuple[int, ...]]) -> bool:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for images in perms:
-                w = images[v]
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == n
-
-    if not generators:
-        return X.n_in == 1 and X.n_out == 1
-    return transitive(X.n_in, [s.images for s, _ in generators]) and transitive(
-        X.n_out, [t.images for _, t in generators]
     )

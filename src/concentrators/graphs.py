@@ -48,11 +48,8 @@ class Graph:
     def n(self) -> int:
         return self.adj.shape[0]
 
-    def degree(self, i: int) -> int:
-        """Vertex degree with loops counted twice."""
-        return int(self.adj[i].sum() + self.adj[i, i])
-
     def degrees(self) -> np.ndarray:
+        """Vertex degrees with loops counted twice."""
         return self.adj.sum(axis=1) + np.diag(self.adj)
 
     def is_simple(self) -> bool:
@@ -89,11 +86,6 @@ class BipartiteGraph:
         return self.inc.sum(axis=0)
 
 
-def _indices(G: FiniteGroup, S: Sequence[Permutation]) -> np.ndarray:
-    """The multiset S as a (1, |S|) array of element indices, checked to lie in G."""
-    return G.lookup(G.rows_of(S))[None]
-
-
 def cayley_counts(G: FiniteGroup, idx: np.ndarray) -> np.ndarray:
     """(b, n, n) stack of R_t = sum_s R(s) over the multiset in row t of ``idx``.
 
@@ -114,7 +106,7 @@ def cayley_graph(G: FiniteGroup, S: Sequence[Permutation]) -> Graph:
     """
     if not S:
         raise GraphError("connection multiset S must be nonempty")
-    R = cayley_counts(G, _indices(G, S))[0]
+    R = cayley_counts(G, G.indices_of(S)[None])[0]
     # each s adds {g, sg} to both ends, but a loop only once
     return Graph(R + R.T - np.diag(np.diag(R)))
 
@@ -158,7 +150,7 @@ def coset_graph(G: FiniteGroup, H: FiniteGroup, S: Sequence[Permutation]) -> Gra
     cosets = CosetGraphs(G, H)
     if not S:
         raise GraphError("connection multiset S must be nonempty")
-    return Graph(cosets.adjacency(_indices(G, S))[0])
+    return Graph(cosets.adjacency(G.indices_of(S)[None])[0])
 
 
 class BicosetGraphs:
@@ -202,7 +194,7 @@ def bicoset_graph(
     """
     if not S:
         raise GraphError("connection multiset S must be nonempty")
-    inc = BicosetGraphs(G, L, N).incidence(_indices(G, S))[0]
+    inc = BicosetGraphs(G, L, N).incidence(G.indices_of(S)[None])[0]
     return BipartiteGraph(np.minimum(inc, 1) if simple else inc)
 
 

@@ -46,9 +46,9 @@ from .characters import (
     dim_sum_D,
     dim_sums_both,
 )
-from .graphs import BicosetGraphs, CosetGraphs, bicayley_graph, cayley_counts, coset_graph
-from .permgroup import FiniteGroup, Permutation, compose, inverse, seeded_indices
-from .spectral import DEFAULT_TOL, jacobi_eigensystem, sym_eigensystems, sym_eigenvalues
+from .graphs import BicosetGraphs, CosetGraphs, cayley_counts, coset_graph
+from .permgroup import FiniteGroup, Permutation, seeded_indices
+from .spectral import DEFAULT_TOL, jacobi_eigensystem, sym_eigensystems
 
 ENUMERATION_CAP = 10**4
 # Bytes per stack (512 KiB): a stack holds as many operators as fit, or as
@@ -93,26 +93,6 @@ class TrialBatch:
 
     def falsified(self) -> bool:
         return (not self.vacuous) and self.empirical_tail > self.bound
-
-
-def product_multisets(
-    S: tuple[Permutation, ...]
-) -> tuple[tuple[Permutation, ...], tuple[Permutation, ...]]:
-    """(B, B*) with B = {s_i s_j^-1 over ordered pairs} and B* = B minus the
-    k diagonal identity copies.  Off-diagonal identity collisions stay in B*."""
-    if not S:
-        raise MonteCarloError("S must be nonempty")
-    inv = [inverse(s) for s in S]
-    star = tuple(
-        compose(S[i], inv[j]) for i in range(len(S)) for j in range(len(S)) if i != j
-    )
-    ident = compose(S[0], inv[0])
-    full = tuple(
-        compose(S[i], inv[j]) if i != j else ident
-        for i in range(len(S))
-        for j in range(len(S))
-    )
-    return full, star
 
 
 class _Operators(NamedTuple):
@@ -177,7 +157,7 @@ def cayley_operator(G: FiniteGroup, S: tuple[Permutation, ...]) -> np.ndarray:
     """Normalized multigraph adjacency (1/2|S|) * sum_s (R(s) + R(s)^T)."""
     if not S:
         raise MonteCarloError("S must be nonempty")
-    return _cayley_operators(G).build(G.lookup(G.rows_of(S))[None])[0]
+    return _cayley_operators(G).build(G.indices_of(S)[None])[0]
 
 
 def _normalized_coset_matrix(G, H, S) -> tuple[np.ndarray, bool]:
@@ -370,35 +350,6 @@ def enumerate_coset_tail(
 ) -> tuple[float, int]:
     """Exact coset-graph tail over all |G|^k ordered draws."""
     return _enumerated_tail(G, k, eps, cap, lambda: _checked("thm15", _coset_operators(G, H)))
-
-
-def shifted_product_spectrum_matches(
-    G: FiniteGroup, S: tuple[Permutation, ...], tol: float = 1e-8
-) -> bool | None:
-    """Cross-check of the bi-Cayley Gram spectrum against the product multiset.
-
-    With trivial subgroups and distinct elements in S, the spectrum of
-    A A^T / (2k^2) must equal the normalized adjacency spectrum of the Cayley
-    graph on B* = SS^{-1} minus identities, mapped through
-    nu -> ((k^2-k) nu + k) / (2k^2).  Returns None when k < 2 or S repeats an
-    element, True/False otherwise.  Distinct elements give diag(A A^T) = k:
-    each s joins g to a different sg.
-    """
-    k = len(S)
-    if k < 2 or len(set(S)) != k:
-        return None
-    A = bicayley_graph(G, S).inc.astype(float)
-    M = A @ A.T / (2.0 * k * k)
-    _, b_star = product_multisets(S)
-    op = cayley_operator(G, b_star)
-    nu = np.array(sym_eigenvalues(op).eigenvalues)
-    mapped = np.sort(((k * k - k) * nu + k) / (2.0 * k * k))
-    report = sym_eigenvalues(M)
-    direct = np.sort(np.array(report.eigenvalues))
-    if not np.allclose(mapped, direct, atol=tol):
-        return False
-    by_abs = np.sort(np.abs(mapped))[::-1]
-    return bool(abs(by_abs[1] - report.mu_star) <= tol)
 
 
 # -- reporting -----------------------------------------------------------------

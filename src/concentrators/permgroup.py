@@ -23,8 +23,8 @@ generators' conjugation action on element indices.  A partition of the
 elements, such as ``right_cosets``' ``CosetPartition``, is a read-only integer
 index array built once, which its readers index in place.
 ``G.elements`` is a lazy read-only sequence that builds a ``Permutation`` only
-for the element accessed, and ``G.index`` a read-only mapping from image
-tuples to indices.
+for the element accessed; ``G.indices_of`` maps permutations to their
+element indices through one ``lookup``.
 
 Randomness is always drawn from numpy's PCG64 seeded through ``SeedSequence``
 so that every sampled multiset is reproducible from its integer seed words;
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -73,10 +73,6 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         return self.images[point]
-
-
-def identity_perm(degree: int) -> Permutation:
-    return Permutation(tuple(range(degree)))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -205,40 +201,6 @@ class _Elements(Sequence):
         for row in self._group.rows.tolist():
             yield _trusted(tuple(row))
 
-    def __contains__(self, p) -> bool:
-        return isinstance(p, Permutation) and p in self._group
-
-
-class _Index(Mapping):
-    """Read-only map from image tuples to element indices."""
-
-    __slots__ = ("_group",)
-
-    def __init__(self, group: FiniteGroup) -> None:
-        self._group = group
-
-    def __getitem__(self, key) -> int:
-        G = self._group
-        if not isinstance(key, tuple) or len(key) != G.degree:
-            raise KeyError(key)
-        try:
-            row = np.array(key, dtype=G.rows.dtype)
-        except (TypeError, ValueError, OverflowError):
-            raise KeyError(key) from None
-        if row.tolist() != list(key):  # e.g. a fractional point
-            raise KeyError(key)
-        idx, found = G._find(row)
-        if not found:
-            raise KeyError(key)
-        return int(idx)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for row in self._group.rows.tolist():
-            yield tuple(row)
-
-    def __len__(self) -> int:
-        return len(self._group.rows)
-
 
 # ``_find`` sorts its needles from this many on, in groups of at least
 # _SORTED_FIND_ORDER elements.  Fewer needles do not repay the argsort; the
@@ -253,9 +215,9 @@ class FiniteGroup:
     """A finite permutation group with a fixed, fully enumerated element order.
 
     ``rows[i]`` holds the images of element i; the array is read-only and uses
-    the smallest unsigned dtype that fits the degree.  ``elements`` and
-    ``index`` are read-only views over it.  Lookups search the rows' keys
-    (``_keys``) in sorted order.
+    the smallest unsigned dtype that fits the degree.  ``elements`` is a
+    read-only view over it.  Lookups search the rows' keys (``_keys``) in
+    sorted order.
     """
 
     degree: int
@@ -288,15 +250,8 @@ class FiniteGroup:
     def elements(self) -> Sequence[Permutation]:
         return _Elements(self)
 
-    @property
-    def index(self) -> Mapping[tuple[int, ...], int]:
-        return _Index(self)
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p.images in self.index
 
     def _find(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """(indices, found) for image rows of shape (..., degree)."""
@@ -332,20 +287,13 @@ class FiniteGroup:
             raise GroupError(f"{tuple(bad.tolist())!r} is not an element of {self.label()}")
         return idx
 
-    def rows_of(self, perms: Sequence[Permutation]) -> np.ndarray:
-        """Image rows of ``perms``, checked at once to be elements of G."""
+    def indices_of(self, perms: Sequence[Permutation]) -> np.ndarray:
+        """Element indices of ``perms``; GroupError names the first that is
+        not an element of G."""
         for p in perms:
             if p.degree != self.degree:
                 raise GroupError(f"{p.images!r} is not an element of {self.label()}")
-        rows = _perm_rows(perms, self.degree)
-        self.lookup(rows)
-        return rows
-
-    def index_of(self, p: Permutation) -> int:
-        try:
-            return self.index[p.images]
-        except KeyError:
-            raise GroupError(f"{p.images!r} is not an element of {self.label()}") from None
+        return self.lookup(_perm_rows(perms, self.degree))
 
     def identity(self) -> Permutation:
         return self.elements[0]
@@ -789,15 +737,6 @@ def seeded_indices(seed: int, t0: int, t1: int, order: int, k: int) -> np.ndarra
     for i in redraw:
         out[i] = seeded_rng(seed, t0 + int(i)).integers(0, order, size=k)
     return out
-
-
-def sample_multiset(G: FiniteGroup, k: int, seed: int) -> tuple[Permutation, ...]:
-    """k independent uniform draws (with replacement) from G's element list."""
-    if k < 1:
-        raise GroupError(f"need k >= 1 draws, got {k}")
-    rng = seeded_rng(seed)
-    picks = rng.integers(0, len(G), size=k)
-    return tuple(G.elements[int(i)] for i in picks)
 
 
 # -- standard construction helpers -------------------------------------------

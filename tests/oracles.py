@@ -8,7 +8,10 @@ independent computations.  ``parse_graph_text`` is the graph file reader
 that writes one matrix cell per edge line, the reference of
 ``test_fileio.py``; it shares only the graph classes with the reader it
 checks.  ``validate_design`` is the design check that counts every block's
-t-subsets in a dict, the reference of ``test_designs.py``.
+t-subsets in a dict, the reference of ``test_designs.py``, which also checks
+the designs' automorphisms with ``induced_block_permutation`` (the action a
+point permutation induces on block indices) and ``semi_transitivity_check``
+(side actions that keep the incidence and are transitive on each side).
 ``group_row_error`` is the check of a group's rows that scatters a boolean
 per (row, point), the reference of the bitwise check in ``FiniteGroup``.
 """
@@ -18,6 +21,7 @@ import math
 
 import numpy as np
 
+from concentrators.designs import DesignError
 from concentrators.permgroup import GroupError, seeded_rng
 
 
@@ -367,6 +371,46 @@ def validate_design(design, t, gamma):
         if c != gamma:
             return False, (sub, c)
     return True, None
+
+
+def induced_block_permutation(design, g):
+    """The image tuple g induces on block indices, for g an image tuple on
+    the design's points; DesignError when g does not permute the blocks."""
+    block_idx = {b: i for i, b in enumerate(design.blocks)}
+    images = []
+    for block in design.blocks:
+        j = block_idx.get(tuple(sorted(g[x] for x in block)))
+        if j is None:
+            raise DesignError(f"{g} does not permute the blocks")
+        images.append(j)
+    return tuple(images)
+
+
+def _transitive(n, perms):
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for images in perms:
+            w = images[v]
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == n
+
+
+def semi_transitivity_check(inc, pairs):
+    """True iff every (sigma, tau) pair of image tuples on the inputs and
+    outputs keeps the multiplicities of ``inc`` (a list of rows),
+    inc[sigma(i)][tau(j)] == inc[i][j], and the sigmas are transitive on the
+    inputs and the taus on the outputs."""
+    n_in, n_out = len(inc), len(inc[0])
+    for sigma, tau in pairs:
+        if any(inc[sigma[i]][tau[j]] != inc[i][j] for i in range(n_in) for j in range(n_out)):
+            return False
+    if not pairs:
+        return n_in == 1 and n_out == 1
+    return _transitive(n_in, [s for s, _ in pairs]) and _transitive(n_out, [t for _, t in pairs])
 
 
 def group_row_error(rows, degree):

@@ -337,6 +337,30 @@ def test_error_reported_as_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["cayley", "coset", "bicoset"])
+@pytest.mark.parametrize(
+    "s_text, shown",
+    [("degree 3\n(1 2)\n", "(0, 2, 1)"), ("degree 4\n(0 1)\n", "(1, 0, 2, 3)")],
+    ids=["outside-z3", "degree-4"],
+)
+def test_construct_names_the_first_non_element_of_s(capsys, tmp_path, kind, s_text, shown):
+    # A connection multiset with a permutation outside G, of G's degree or
+    # not, is a usage error naming that permutation and the group file's stem.
+    z3, one, S = tmp_path / "z3.txt", tmp_path / "one.txt", tmp_path / "S.txt"
+    z3.write_text("degree 3\n(0 1 2)\n")
+    one.write_text("degree 3\n")
+    S.write_text(s_text)
+    subgroups = {"cayley": [], "coset": ["--H", str(one)],
+                 "bicoset": ["--L", str(one), "--N", str(one)]}[kind]
+    argv = ["construct", "--kind", kind, "--group", str(z3), *subgroups,
+            "--S", str(S), "--out", str(tmp_path / "out.txt")]
+    assert _main_exit(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {shown} is not an element of z3" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "text",
     [

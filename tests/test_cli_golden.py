@@ -48,6 +48,11 @@ CASES = [
     ("design-contract", 0, ["design", "--mathieu", "12", "--contract", "11", "--validate"]),
     ("design-fano-invalid", 1, ["design", "--in", "fano.txt", "--t", "2", "--gamma", "2",
                                 "--validate"]),
+    # Strength-1 designs have no BIBD parameters, so no "bibd" key.
+    ("design-mathieu9-contract", 0, ["design", "--mathieu", "9", "--contract", "0",
+                                     "--validate"]),
+    ("design-fano-t1-invalid", 1, ["design", "--in", "fano.txt", "--t", "1", "--gamma", "2",
+                                   "--validate"]),
     ("chartable-s4", 0, ["chartable", "--group", "s4.txt", "--subgroup", "v4.txt"]),
     ("chartable-s3", 0, ["chartable", "--group", "s3.txt", "--subgroup", "swap01.txt",
                          "--subgroup", "a3.txt"]),

@@ -10,18 +10,16 @@ from concentrators.montecarlo import (
     cayley_operator,
     enumerate_cayley_tail,
     enumerate_coset_tail,
-    product_multisets,
     render_csv,
     render_json,
     run_bicoset_trials,
     run_cayley_trials,
     run_coset_trials,
-    shifted_product_spectrum_matches,
 )
 from concentrators.permgroup import (
-    identity_perm,
+    Permutation,
+    compose,
     inverse,
-    sample_multiset,
     seeded_rng,
     trivial_group,
 )
@@ -31,12 +29,60 @@ import oracles
 
 def plus(z, k):
     n = z.degree
-    return z.elements[z.index[tuple((i + k) % n for i in range(n))]]
+    return z.elements[int(z.lookup(tuple((i + k) % n for i in range(n))))]
+
+
+def sample_multiset(G, k, seed):
+    """k uniform draws, with replacement, from G's element list."""
+    return tuple(G.elements[i] for i in seeded_rng(seed).integers(0, len(G), size=k))
+
+
+def product_multisets(S):
+    """(B, B*) with B = {s_i s_j^-1 over ordered pairs} and B* = B minus the
+    k diagonal identity copies.  Off-diagonal identity collisions stay in B*."""
+    inv = [inverse(s) for s in S]
+    star = tuple(
+        compose(S[i], inv[j]) for i in range(len(S)) for j in range(len(S)) if i != j
+    )
+    ident = compose(S[0], inv[0])
+    full = tuple(
+        compose(S[i], inv[j]) if i != j else ident
+        for i in range(len(S))
+        for j in range(len(S))
+    )
+    return full, star
+
+
+def shifted_product_spectrum_matches(G, S, tol=1e-8):
+    """Cross-check of the bi-Cayley Gram spectrum against the product multiset.
+
+    With trivial subgroups and distinct elements in S, the spectrum of
+    A A^T / (2k^2) must equal the normalized adjacency spectrum of the Cayley
+    graph on B* = SS^{-1} minus identities, mapped through
+    nu -> ((k^2-k) nu + k) / (2k^2).  Returns None when k < 2 or S repeats an
+    element, True/False otherwise.  Distinct elements give diag(A A^T) = k:
+    each s joins g to a different sg.
+    """
+    k = len(S)
+    if k < 2 or len(set(S)) != k:
+        return None
+    A = C.bicayley_graph(G, S).inc.astype(float)
+    M = A @ A.T / (2.0 * k * k)
+    _, b_star = product_multisets(S)
+    op = cayley_operator(G, b_star)
+    nu = np.array(C.sym_eigenvalues(op).eigenvalues)
+    mapped = np.sort(((k * k - k) * nu + k) / (2.0 * k * k))
+    report = C.sym_eigenvalues(M)
+    direct = np.sort(np.array(report.eigenvalues))
+    if not np.allclose(mapped, direct, atol=tol):
+        return False
+    by_abs = np.sort(np.abs(mapped))[::-1]
+    return bool(abs(by_abs[1] - report.mu_star) <= tol)
 
 
 def test_product_multisets_singleton(z5):
     B, Bstar = product_multisets((plus(z5, 2),))
-    assert B == (identity_perm(5),)
+    assert B == (Permutation(tuple(range(5))),)
     assert Bstar == ()
 
 
