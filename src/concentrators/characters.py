@@ -6,6 +6,11 @@ eigenvectors, and each eigenvector yields one irreducible character.  Degrees
 are recovered from orthogonality and rounded to exact integers; the table is
 then re-verified (sum of squared degrees, row and column orthogonality) and
 construction aborts on any failure.
+
+``character_table`` keeps the last ``_TABLES_KEPT`` tables built in the
+process, keyed on the group's content (degree, rows bytes, generator images)
+and ``tol``, since each CLI call loads its group as a new object.  Tables are
+immutable, and a failed build is not kept.
 """
 
 from __future__ import annotations
@@ -86,8 +91,29 @@ def _class_matrices(G: FiniteGroup, classes, class_of) -> np.ndarray:
     return counts.reshape(r, r, r).transpose(0, 2, 1).astype(float)
 
 
+# Tables built in this process, least recently used first.
+_TABLES: dict[tuple, CharacterTable] = {}
+_TABLES_KEPT = 16
+
+
 def character_table(G: FiniteGroup, tol: float = 1e-8) -> CharacterTable:
-    """Compute the full complex character table of an enumerated group."""
+    """Compute the full complex character table of an enumerated group.
+
+    A table is a pure function of the group's degree, rows, generators and
+    ``tol``, so a group with the content of one of the last ``_TABLES_KEPT``
+    tables built gets that table back.  A failed build raises on every call.
+    """
+    key = (G.degree, G.rows.tobytes(), tuple(g.images for g in G.generators), tol)
+    table = _TABLES.pop(key, None)
+    if table is None:
+        table = _build_table(G, tol)
+        if len(_TABLES) >= _TABLES_KEPT:
+            del _TABLES[next(iter(_TABLES))]
+    _TABLES[key] = table
+    return table
+
+
+def _build_table(G: FiniteGroup, tol: float) -> CharacterTable:
     classes, class_of = _class_structure(G)
     r = len(classes)
     if r > MAX_CLASSES:

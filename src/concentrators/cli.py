@@ -50,7 +50,10 @@ def _canonical_json(value, pad: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        parts = [_canonical_json(item, inner) for item in value]
+        if all(isinstance(item, float) and math.isfinite(item) for item in value):
+            parts = map(float.__repr__, value)
+        else:
+            parts = [_canonical_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
     if isinstance(value, dict):
         if not value:

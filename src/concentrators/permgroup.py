@@ -503,8 +503,16 @@ def right_cosets(G: FiniteGroup, H: FiniteGroup) -> CosetPartition:
     cosets = np.empty((len(G) // len(H), len(H)), dtype=np.int64)
     batch = max(1, _COSET_BATCH_ROWS // len(H))
     found = 0
+    # Every index before the cursor is assigned.  The next batch is searched
+    # for in a window from the cursor, doubled until it holds a batch.
+    cursor, span = 0, batch
     while found < len(cosets):
-        todo = np.flatnonzero(coset_of < 0)[:batch]
+        while True:
+            todo = cursor + np.flatnonzero(coset_of[cursor : cursor + span] < 0)[:batch]
+            if len(todo) == batch or cursor + span >= len(G):
+                break
+            span *= 2
+        cursor = todo[-1] + 1
         members = np.sort(G.lookup(H.rows[:, G.rows[todo]]).T, axis=1)
         members = members[members[:, 0] == todo]
         coset_of[members] = found + np.arange(len(members))[:, None]

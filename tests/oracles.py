@@ -14,6 +14,10 @@ point permutation induces on block indices) and ``semi_transitivity_check``
 (side actions that keep the incidence and are transitive on each side).
 ``group_row_error`` is the check of a group's rows that scatters a boolean
 per (row, point), the reference of the bitwise check in ``FiniteGroup``.
+``jacobi_eigensystem`` is the cyclic Jacobi iteration on numpy rows and
+columns, the reference of ``spectral.jacobi_eigensystem``, which does the
+same arithmetic on Python floats and must agree with it to the bit
+(``test_spectral.py``).
 """
 
 import itertools
@@ -23,6 +27,13 @@ import numpy as np
 
 from concentrators.designs import DesignError
 from concentrators.permgroup import GroupError, seeded_rng
+from concentrators.spectral import (
+    DEFAULT_TOL,
+    MAX_SWEEPS,
+    SpectralError,
+    _check_symmetric,
+    _offdiag_norm,
+)
 
 
 def _compose(p, q):
@@ -429,3 +440,52 @@ def group_row_error(rows, degree):
     if len(set(map(tuple, rows.tolist()))) != len(rows):
         return "group rows repeat an element"
     return None
+
+
+def jacobi_eigensystem(M):
+    """``(w, V, residual)`` by cyclic Jacobi rotations, each applied to two
+    rows, then two columns of the numpy matrix and two columns of V."""
+    A = _check_symmetric(M, DEFAULT_TOL)
+    if A.ndim != 2:
+        raise SpectralError(f"expected a square matrix, got shape {A.shape}")
+    n = A.shape[0]
+    V = np.eye(n)
+    norm = float(np.linalg.norm(A))
+    if n < 2 or norm == 0.0:
+        w = np.diag(A).copy()
+        order = np.argsort(-w, kind="stable")
+        return w[order], V[:, order], 0.0
+    target = DEFAULT_TOL * norm
+    skip = target / (n * n)
+    for _ in range(MAX_SWEEPS):
+        if _offdiag_norm(A) <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= skip:
+                    continue
+                theta = 0.5 * math.atan2(2.0 * apq, A[q, q] - A[p, p])
+                c = math.cos(theta)
+                s = math.sin(theta)
+                rp = A[p, :].copy()
+                rq = A[q, :].copy()
+                A[p, :] = c * rp - s * rq
+                A[q, :] = s * rp + c * rq
+                cp = A[:, p].copy()
+                cq = A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+                vp = V[:, p].copy()
+                vq = V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    residual = _offdiag_norm(A)
+    if residual > target:
+        raise SpectralError(
+            f"Jacobi iteration did not converge within {MAX_SWEEPS} sweeps "
+            f"(off-norm {residual:.3e} > {target:.3e})"
+        )
+    w = np.diag(A).copy()
+    order = np.argsort(-w, kind="stable")
+    return w[order], V[:, order], residual

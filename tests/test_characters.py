@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import concentrators as C
+from concentrators import characters
 from concentrators.characters import (
     BoundInputs,
     CharacterError,
@@ -14,7 +15,8 @@ from concentrators.characters import (
     trivial_restriction_multiplicities,
     weighted_entropy,
 )
-from concentrators.permgroup import closure, from_cycles, trivial_group
+from concentrators.fileio import load_group
+from concentrators.permgroup import FiniteGroup, closure, from_cycles, trivial_group
 
 
 def test_s3_degrees(s3, s3_table):
@@ -216,3 +218,61 @@ def test_class_cap_enforced():
     big = C.cyclic_group(61)
     with pytest.raises(CharacterError, match="cap"):
         character_table(big)
+
+
+def test_failed_tables_are_not_kept():
+    big = C.cyclic_group(61)
+    for _ in range(2):
+        with pytest.raises(CharacterError, match="cap"):
+            character_table(big)
+    assert all(key[1] != big.rows.tobytes() for key in characters._TABLES)
+
+
+def _same_values(a, b):
+    assert (a.classes, a.class_sizes, a.degrees) == (b.classes, b.class_sizes, b.degrees)
+    assert np.array_equal(a.class_of, b.class_of)
+    assert np.array_equal(a.chars, b.chars)
+
+
+def test_two_loads_of_one_group_file_share_a_table(tmp_path):
+    path = tmp_path / "s4.txt"
+    path.write_text("degree 4\n(0 1)\n(0 1 2 3)\n")
+    G, H = load_group(path), load_group(path)
+    assert G is not H
+    assert character_table(G) is character_table(H)
+
+
+def test_generators_and_tol_key_their_own_tables(tmp_path):
+    path = tmp_path / "s4.txt"
+    path.write_text("degree 4\n(0 1)\n(0 1 2 3)\n")
+    G = load_group(path)
+    # The same rows under one more generator.
+    G_other = FiniteGroup(G.degree, G.generators + (from_cycles([(0, 2)], 4),), G.rows, G.name)
+    table = character_table(G)
+    by_gens = character_table(G_other)
+    by_tol = character_table(G, tol=1e-9)
+    assert len({id(table), id(by_gens), id(by_tol)}) == 3
+    _same_values(by_gens, table)
+    _same_values(by_tol, table)
+    assert character_table(G) is table
+
+
+def test_table_cache_is_bounded():
+    groups = [C.cyclic_group(n) for n in range(2, 2 + characters._TABLES_KEPT + 5)]
+    tables = [character_table(G) for G in groups]
+    assert len(characters._TABLES) <= characters._TABLES_KEPT
+    # The most recent tables are kept; the oldest were dropped and are rebuilt.
+    assert character_table(groups[-1]) is tables[-1]
+    rebuilt = character_table(groups[0])
+    assert rebuilt is not tables[0]
+    _same_values(rebuilt, tables[0])
+    assert len(characters._TABLES) <= characters._TABLES_KEPT
+
+
+def test_cached_tables_are_read_only(s4):
+    table = character_table(s4)
+    assert character_table(s4) is table
+    for a in (table.chars, table.class_of):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0

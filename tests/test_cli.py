@@ -760,9 +760,14 @@ _scalars = st.one_of(
     st.sampled_from(_ODD_FLOATS),
     _text,
 )
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# Lists of floats only, Python and numpy, which the writer joins in one call.
+_float_lists = st.lists(
+    st.one_of(_finite, st.sampled_from(_ODD_FLOATS), _finite.map(np.float64)), min_size=1,
+    max_size=200)
 _number_keys = st.one_of(st.integers(-5, 5), st.floats(-2.0, 2.0), st.booleans())
 _payloads = st.recursive(
-    _scalars,
+    st.one_of(_scalars, _float_lists),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -790,6 +795,18 @@ def test_canonical_writer_rejects_non_finite_floats(payload, bad, where):
         json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with pytest.raises(ValueError):
         _canonical_json(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_float_lists, st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"),
+                                      np.float64("-inf")]), st.data())
+def test_canonical_writer_rejects_non_finite_floats_in_float_lists(items, bad, data):
+    at = data.draw(st.integers(0, len(items)))
+    items = items[:at] + [bad] + items[at:]
+    with pytest.raises(ValueError):
+        json.dumps(items, sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        _canonical_json(items)
 
 
 @pytest.mark.parametrize(

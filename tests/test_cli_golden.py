@@ -98,6 +98,15 @@ CASES = [
     ("montecarlo-seed-2p70", 0, ["montecarlo", "--group", "s3.txt", "--k", "5", "--eps", "0.5",
                                  "--trials", "9", "--seed", "1180591620717411303424",
                                  "--variant", "thm14"]),
+    # One trial lies in the tie band: its 12 x 12 operator is re-solved by
+    # the Jacobi arbiter.
+    ("montecarlo-thm15-ties", 0, ["montecarlo", "--group", "s4.txt", "--L", "swap4.txt",
+                                  "--k", "12", "--eps", "0.5", "--trials", "10", "--seed", "3",
+                                  "--variant", "thm15"]),
+    # Z4 with k = 2 draws operators whose mu* is exactly eps; Jacobi decides them.
+    ("montecarlo-thm14-z4-ties", 0, ["montecarlo", "--group", "z4.txt", "--k", "2",
+                                     "--eps", "0.5", "--trials", "8", "--seed", "1",
+                                     "--variant", "thm14"]),
     ("pipeline63-s3", 0, ["pipeline63", "--group", "s3.txt", "--L", "swap01.txt",
                           "--S", "s3.txt"]),
 ]

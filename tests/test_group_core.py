@@ -133,6 +133,16 @@ def test_cosets_and_classes_match_oracle(groups):
     assert_same_classes(G)
 
 
+@settings(max_examples=40, deadline=None)
+@given(group_and_subgroup(), st.integers(1, 12))
+def test_cosets_in_small_batches_match_oracle(groups, batch_rows):
+    # Batches of a few candidates: many batches, each searched from the
+    # cursor in a window that has to grow past the assigned indices.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permgroup, "_COSET_BATCH_ROWS", batch_rows)
+        assert_same_partition(*groups)
+
+
 @settings(max_examples=25, deadline=None)
 @given(group_and_subgroup(max_degree=4), st.data())
 def test_graph_builders_match_oracle(groups, data):

@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
+import oracles
+from concentrators import montecarlo, spectral
+from concentrators.graphs import CosetGraphs, cayley_counts
+from concentrators.permgroup import closure, from_cycles
 from concentrators.spectral import (
     SpectralError,
     jacobi_eigensystem,
@@ -52,6 +56,93 @@ def test_reconstruction_contract():
     w, V, residual = jacobi_eigensystem(M)
     assert np.linalg.norm(V @ np.diag(w) @ V.T - M) <= 1e-9
     assert residual <= 1e-10 * np.linalg.norm(M)
+
+
+def _same_as_reference(M):
+    """The library's Jacobi solve equals the numpy-row reference to the bit."""
+    w, V, residual = jacobi_eigensystem(M)
+    w_ref, V_ref, residual_ref = oracles.jacobi_eigensystem(M)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(V, V_ref)
+    assert residual == residual_ref
+    assert w.tobytes() == w_ref.tobytes()
+    assert np.ascontiguousarray(V).tobytes() == np.ascontiguousarray(V_ref).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.booleans())
+def test_jacobi_matches_reference_on_random_matrices(n, seed, integer):
+    M = np.random.default_rng(seed).normal(size=(n, n))
+    M = M + M.T
+    _same_as_reference(np.round(M) if integer else M)
+
+
+def test_jacobi_matches_reference_on_zero_matrices():
+    for n in (1, 2, 5):
+        _same_as_reference(np.zeros((n, n)))
+
+
+_GROUPS = {
+    "S3": C.symmetric_group(3),
+    "S4": C.symmetric_group(4),
+    "Z4": C.cyclic_group(4),
+    "Z6": C.cyclic_group(6),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_GROUPS)), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_jacobi_matches_reference_on_cayley_operators(name, k, seed):
+    # Symmetrized Cayley counts: integer entries and repeated eigenvalues.
+    G = _GROUPS[name]
+    idx = np.random.default_rng(seed).integers(0, len(G), size=(1, k))
+    R = cayley_counts(G, idx)[0]
+    _same_as_reference(R + R.T)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_jacobi_matches_reference_on_coset_operators(k, seed):
+    S4 = _GROUPS["S4"]
+    swap = closure(4, [from_cycles([(0, 1)], 4)])
+    idx = np.random.default_rng(seed).integers(0, len(S4), size=(1, k))
+    _same_as_reference(CosetGraphs(S4, swap).adjacency(idx)[0])
+
+
+def _arbitrated(monkeypatch, run):
+    """The operators ``run()`` sends to the Jacobi arbiter."""
+    seen = []
+
+    def spy(M):
+        seen.append(np.array(M))
+        return jacobi_eigensystem(M)
+
+    monkeypatch.setattr(montecarlo, "jacobi_eigensystem", spy)
+    run()
+    return seen
+
+
+def test_jacobi_matches_reference_on_tie_operators(monkeypatch):
+    # The in-band operators of the montecarlo-thm15-ties and
+    # montecarlo-thm14-z4-ties golden cases.
+    S4, Z4 = _GROUPS["S4"], _GROUPS["Z4"]
+    swap = closure(4, [from_cycles([(0, 1)], 4)])
+    thm15 = _arbitrated(monkeypatch, lambda: montecarlo.run_coset_trials(
+        S4, swap, k=12, eps=0.5, trials=10, seed=3))
+    z4 = _arbitrated(monkeypatch, lambda: montecarlo.run_cayley_trials(
+        Z4, k=2, eps=0.5, trials=8, seed=1))
+    assert [M.shape for M in thm15] == [(12, 12)]
+    assert len(z4) == 2
+    for M in thm15 + z4:
+        _same_as_reference(M)
+
+
+def test_jacobi_sweep_cap_error(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
+    M = np.random.default_rng(4).normal(size=(8, 8))
+    with pytest.raises(SpectralError, match=r"^Jacobi iteration did not converge within 1 "
+                                            r"sweeps \(off-norm .* > .*\)$"):
+        jacobi_eigensystem(M + M.T)
 
 
 def test_eigensolver_identities_seeded_sizes():
