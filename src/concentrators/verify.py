@@ -28,13 +28,13 @@ decreases and ``fails`` never turns from False to True as |N(X)| grows, and
 subsets of one size, and whether any of them fails, is read at that size's
 least |N(X)|.
 
-Exhaustive mode (up to 24 inputs) has one read, ``_Cells.read``, over cells
-of subsets of one size: each gather gives every cell's size and least
-|N(X)|, and re-expands the cells it is asked for to find the
-lexicographically least subset that attains a table entry.  The least value
-is the least over the cells of the value at the cell's least |N(X)|; only
-the cells that attain it are re-expanded.  ``subsets_checked`` counts the
-eligible subsets the scan covers.
+Every mode has one read, ``_Cells.read``, over cells of subsets of one
+size: each gather gives every cell's size and least |N(X)|, and re-expands
+the cells it is asked for to find the lexicographically least subset that
+attains a table entry.  The least value is the least over the cells of the
+value at the cell's least |N(X)|; only the cells that attain it are
+re-expanded.  ``subsets_checked`` counts the subsets the scan covers, and a
+check with a ``fails`` table passes when none of them fails.
 
 From 13 inputs the gather is one kernel, ``_Kernel``.  A subset is a bitmask
 split into a low half of 12 bits and a high half, and both halves' masks are
@@ -61,16 +61,16 @@ row in (size, lexicographic) order with each subset's lexicographic rank
 across sizes; the eligible subsets for any max_size are a prefix), and the
 least of the selected cells is the one of least rank.
 
-A bsc scan stops right after its first failing subset in (size,
+An exhaustive bsc scan stops right after its first failing subset in (size,
 lexicographic) order, as a loop over ``itertools.combinations`` would.  The
 read finds it off the cells: the least size s with a failing cell holds the
 first failing subset, the lexicographically least failing member of those
 cells, and the scan covers every smaller size and the subsets of size s up
 to that one, whose lexicographic rank among them has a closed form.
 
-Sampled mode (``_Sampled``) draws ``budget`` random subsets per size, reduces
-them with the same tables, and can only refute a claimed constant, never
-certify it.
+Sampled mode (``_Sampled``) draws ``budget`` random subsets per size, each
+its own cell, and never stops early: it can only refute a claimed constant,
+never certify it.
 """
 
 from __future__ import annotations
@@ -208,11 +208,11 @@ def _union_counts(his, los):
 
 
 class _Cells:
-    """The exhaustive read, shared by the two exhaustive gathers.  A gather
-    of the ``n_in`` rows ``words`` covers ``count`` subsets in cells, and
-    gives each cell's size (``sizes``) and least |N(X)| (``least``);
-    ``_least(cells, table, target)`` is the lexicographically least subset
-    of the selected cells with ``table[|X|, |N(X)|] == target``, or None."""
+    """The one read, shared by the three gathers.  A gather of the ``n_in``
+    rows ``words`` covers ``count`` subsets in cells, and gives each cell's
+    size (``sizes``) and least |N(X)| (``least``); ``_least(cells, table,
+    target)`` is the lexicographically least subset of the selected cells
+    with ``table[|X|, |N(X)|] == target``, or None."""
 
     def read(self, value, fails, stop_at_failure):
         """The least (value, witness) over the scanned subsets, read off the
@@ -402,30 +402,29 @@ class _OneRow(_Cells):
         return int(self.masks[hits[self.rank[hits].argmin()]]) if hits.size else None
 
 
-class _Sampled:
+class _Sampled(_Cells):
     """``budget`` sorted ``rng.choice(n_in, size, replace=False)`` draws per
-    size, one at a time, with the size and neighbor count |N(X)| of each,
-    which index the tables directly."""
+    size, taken one at a time, every draw its own cell; the unions of one
+    size's draws are one OR reduction over their rows."""
 
     def __init__(self, words, max_size, budget, seed):
         rng = seeded_rng(seed)
-        masks = [int.from_bytes(row.tobytes(), "little") for row in words]
-        n_in = len(masks)
-        self.draws = []
+        self.words, self.n_in = words, len(words)
+        self.draws, least = [], []
         for size in range(1, max_size + 1):
-            for _ in range(budget):
-                combo = tuple(sorted(int(x) for x in rng.choice(n_in, size=size, replace=False)))
-                union = 0
-                for v in combo:
-                    union |= masks[v]
-                self.draws.append((size, union.bit_count(), combo))
+            combos = [sorted(rng.choice(self.n_in, size=size, replace=False).tolist())
+                      for _ in range(budget)]
+            self.draws += combos
+            unions = np.bitwise_or.reduce(words[np.array(combos)], axis=1)
+            least.append(np.bitwise_count(unions).sum(axis=1, dtype=np.intp))
+        self.count = len(self.draws)
+        self.sizes = np.repeat(np.arange(1, max_size + 1), budget)
+        self.least = np.concatenate(least)
 
-    def read(self, value, fails, stop_at_failure):
-        """The least (value, draw); a sampled scan never stops early."""
-        value = value.tolist()
-        best = min((value[size][nbrs], combo) for size, nbrs, combo in self.draws)
-        failed = fails is not None and any(fails[size, nbrs] for size, nbrs, _ in self.draws)
-        return (*best, len(self.draws), failed)
+    def _least(self, cells, table, target):
+        """The selected draw of least index tuple."""
+        hits = cells.nonzero()[0].tolist()
+        return sum(1 << v for v in min(self.draws[i] for i in hits)) if hits else None
 
 
 def _check_mode(n_in, mode, budget, seed) -> None:
@@ -445,8 +444,8 @@ def _check_mode(n_in, mode, budget, seed) -> None:
 def _gather(mat, max_size, mode, budget, seed):
     """The neighbor counts of the input sets of at most ``max_size`` rows of
     ``mat`` (mode already checked): a ``_Sampled``, ``_OneRow`` or
-    ``_Kernel``, whose ``read(value, fails, stop_at_failure)`` gives (least
-    value, its witness, subsets checked, whether a subset failed)."""
+    ``_Kernel``, whose ``_Cells.read(value, fails, stop_at_failure)`` gives
+    (least value, its witness, subsets checked, whether a subset failed)."""
     words = _neighbor_words(mat)
     if mode == "sampled":
         return _Sampled(words, max_size, budget, seed)
@@ -504,8 +503,8 @@ def bsc_check(
 ) -> ConcentrationReport:
     """Is |neighbors(S)| >= c|S| for every nonempty input set with |S| <= alpha*n?
 
-    Exhaustive mode is exact and may stop at the first refutation; sampled
-    mode can only refute.
+    Exhaustive mode is exact and stops at its first refutation; sampled
+    mode can only refute.  The verdict is "no scanned subset failed".
     """
     if not 0 < alpha <= 1:
         raise VerifyError(f"alpha={alpha} outside (0, 1]")
@@ -516,13 +515,13 @@ def bsc_check(
     fails = _fails_table(_bsc_fails, X.n_in, X.n_out, max_size, c)
     value = _value_table(_bsc_ratio, X.n_in, X.n_out, max_size)
     counts = _gather(X.inc, max_size, mode, budget, seed)
-    ratio, worst, checked, _ = counts.read(value, fails, stop_at_failure=True)
+    ratio, worst, checked, failed = counts.read(value, fails, mode == "exhaustive")
     return ConcentrationReport(
         mode=mode,
         worst_ratio=ratio,
         worst_set=worst,
         subsets_checked=checked,
-        verdict=ratio >= c - 1e-12,
+        verdict=not failed,
     )
 
 

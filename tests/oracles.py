@@ -269,18 +269,23 @@ def _draws(n, max_size, budget, seed):
             yield tuple(sorted(int(x) for x in rng.choice(n, size=size, replace=False)))
 
 
-def sampled_scan(inc, max_size, exclude_self, budget, seed):
-    """The sampled bsc/magnifier loop: (worst ratio, witness, subsets checked)
-    over ``_draws``, folded as ``subset_scan`` folds."""
+def sampled_scan(inc, max_size, exclude_self, budget, seed, target=None):
+    """The sampled bsc/magnifier loop: (worst ratio, witness, subsets checked,
+    refuted) over ``_draws``, folded as ``subset_scan`` folds.  It reads every
+    draw; with a ``target``, refuted says that some draw has
+    |N| < target*|X| - 1e-12*|X|."""
     masks = _masks(inc)
     best = None
     checked = 0
+    refuted = False
     for combo in _draws(len(masks), max_size, budget, seed):
         gamma, mask = _gamma(masks, combo, exclude_self)
         checked += 1
         size = len(combo)
         best = (gamma, size, mask) if best is None else _ratio_fold(best, size, gamma, mask)
-    return best[0] / best[1], _mask_to_set(best[2]), checked
+        if target is not None and gamma < target * size - 1e-12 * size:
+            refuted = True
+    return best[0] / best[1], _mask_to_set(best[2]), checked, refuted
 
 
 def expander_sampled(inc, c, restrict_half, budget, seed):

@@ -67,6 +67,10 @@ CASES = [
     ("verify-bsc-sampled-refuted", 1, ["verify-bsc", "--graph", "bip45.txt", "--alpha", "1.0",
                                        "--c", "1.3", "--mode", "sampled", "--budget", "5",
                                        "--seed", "2"]),
+    # Every ratio is 1, and c is within the fails table's slack of 1: the
+    # table refutes {0, 1, 2}, the 11th subset, where the scan stops, failed.
+    ("verify-bsc-identity4-edge", 1, ["verify-bsc", "--graph", "identity4.txt", "--alpha",
+                                      "1.0", "--c", "1.000000000001"]),
     # 13 to 24 inputs run the cell kernel; the cases above read one row.
     ("verify-bsc-gq22-pass", 0, ["verify-bsc", "--graph", "gq22.txt", "--alpha", "0.5",
                                  "--c", "1.3846153846153846"]),
@@ -109,6 +113,10 @@ CASES = [
                                      "--variant", "thm14"]),
     ("pipeline63-s3", 0, ["pipeline63", "--group", "s3.txt", "--L", "swap01.txt",
                           "--S", "s3.txt"]),
+    # 120 vertices, past the exhaustive cap: the magnifier samples 20 draws
+    # of each of the 60 sizes.
+    ("pipeline63-s5-sampled", 0, ["pipeline63", "--group", "s5.txt", "--L", "swap5.txt",
+                                  "--S", "s5.txt", "--budget", "20", "--seed", "1"]),
 ]
 
 

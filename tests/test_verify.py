@@ -523,26 +523,105 @@ def test_bsc_first_refutation_among_failing_cells_of_several_blocks(n_in, size, 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), seed=st.sampled_from([0, 3, 2024]), budget=st.integers(1, 12))
 def test_sampled_modes_match_the_reference_loops(data, seed, budget):
-    X = data.draw(sparse_incidences(12, 150))
-    max_size = data.draw(st.integers(1, X.n_in))
-    rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=1.0, mode="sampled",
-                    budget=budget, seed=seed)
-    want = oracles.sampled_scan(X.inc, max_size, False, budget, seed)
-    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want
-    assert rep.verdict == (want[0] >= 1.0 - 1e-12)
-
+    inc = data.draw(sparse_incidences(12, 150)).inc
     adj = data.draw(sparse_graphs(data.draw(st.integers(2, 12))))
+    square = np.array(data.draw(square_incidences()), dtype=np.int64)
+    _assert_sampled_modes_match(data, inc, adj, square, seed, budget)
+
+
+@st.composite
+def wide_incidences(draw, n_in, n_out):
+    """An n_in x n_out 0/1 array whose rows reach at most 4 outputs each."""
+    rows = draw(st.lists(st.frozensets(st.integers(0, n_out - 1), max_size=4),
+                         min_size=n_in, max_size=n_in))
+    inc = np.zeros((n_in, n_out), dtype=np.int64)
+    for v, row in enumerate(rows):
+        inc[v, list(row)] = 1
+    return inc
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(65, 90), n_out=st.integers(65, 139),
+       seed=st.sampled_from([0, 3, 2024]), budget=st.integers(1, 3))
+def test_sampled_modes_match_the_reference_loops_past_64_inputs(data, n, n_out, seed, budget):
+    # Past 64 inputs and outputs a draw's union is an OR over neighbor sets
+    # of three to five 32-bit words.
+    inc, adj, square = (data.draw(wide_incidences(n, n_out)), data.draw(sparse_graphs(n)),
+                        data.draw(wide_incidences(n, n)))
+    _assert_sampled_modes_match(data, inc, adj, square, seed, budget)
+
+
+def _assert_sampled_modes_match(data, inc, adj, square, seed, budget):
+    """Sampled bsc on ``inc``, magnifier on ``adj`` and expander on ``square``
+    against the reference loops."""
+    n_in = len(inc)
+    max_size = data.draw(st.integers(1, n_in))
+    c = data.draw(st.sampled_from([0.5, 1.0, 1.000000000001, 4 / 3, 2.0]))
+    rep = bsc_check(C.BipartiteGraph(inc), alpha=_alpha(max_size, n_in), c=c, mode="sampled",
+                    budget=budget, seed=seed)
+    ratio, worst, checked, refuted = oracles.sampled_scan(inc, max_size, False, budget, seed,
+                                                          target=c)
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == (ratio, worst, checked)
+    assert rep.verdict is not refuted
+
     rep = magnifier_constant(C.Graph(adj), mode="sampled", budget=budget, seed=seed)
     want = oracles.sampled_scan(adj, len(adj) // 2, True, budget, seed)
-    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want
+    assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked) == want[:3]
 
-    inc = data.draw(square_incidences())
     restrict_half = data.draw(st.booleans())
     c = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
-    rep = expander_check(C.BipartiteGraph(np.array(inc, dtype=np.int64)), c,
-                         restrict_half=restrict_half, mode="sampled", budget=budget, seed=seed)
-    want = oracles.expander_sampled(inc, c, restrict_half, budget, seed)
+    rep = expander_check(C.BipartiteGraph(square), c, restrict_half=restrict_half,
+                         mode="sampled", budget=budget, seed=seed)
+    want = oracles.expander_sampled(square, c, restrict_half, budget, seed)
     assert (rep.worst_ratio, rep.worst_set, rep.subsets_checked, rep.verdict) == want
+
+
+def _assert_stopped_scans_fail(X, max_size, c):
+    """A bsc report that checked fewer than all eligible subsets stopped on a
+    refutation, so its verdict is False."""
+    rep = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=c)
+    eligible = verify._subsets_upto(X.n_in, max_size)
+    assert rep.subsets_checked <= eligible
+    if rep.subsets_checked < eligible:
+        assert rep.verdict is False
+
+
+@pytest.mark.parametrize("c", [1.000000000001, 1.0000000000015])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_identity_scans_that_stop_early_fail(n, c):
+    # Every ratio of the identity incidence is 1, and c lies within the bsc
+    # table's 1e-12 slack of 1: the table refutes some sizes and not others.
+    X = C.BipartiteGraph(np.eye(n, dtype=np.int64))
+    for max_size in range(1, n + 1):
+        _assert_stopped_scans_fail(X, max_size, c)
+
+
+@st.composite
+def private_incidences(draw):
+    """2-16 inputs, most reaching one output of their own and the others
+    two or three of their own and some of 3 shared ones: many subsets share
+    the ratio 1 or another k/s, at several sizes."""
+    degrees = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=2, max_size=16))
+    rows, start = [], 3
+    for d in degrees:
+        shared = draw(st.sets(st.integers(0, 2))) if d > 1 else set()
+        rows.append(set(range(start, start + d)) | shared)
+        start += d
+    return C.BipartiteGraph([[int(j in row) for j in range(start)] for row in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(X=private_incidences(), data=st.data(),
+       nudge=st.sampled_from([-1e-12, 0.0, 1e-12, 1e-12, 1e-12, 1.5e-12]))
+def test_scans_that_stop_early_fail_with_c_next_to_a_ratio(X, data, nudge):
+    # c is drawn next to a ratio k/s, mostly the scan's least one, where the
+    # 1e-12 slack of the fails table and a comparison of the least ratio with
+    # c could disagree.
+    max_size = data.draw(st.integers(1, X.n_in))
+    least = bsc_check(X, alpha=_alpha(max_size, X.n_in), c=0.0).worst_ratio
+    size = data.draw(st.integers(1, X.n_in))
+    ratio = data.draw(st.sampled_from([least, least, data.draw(st.integers(0, 4 * size)) / size]))
+    _assert_stopped_scans_fail(X, max_size, ratio + nudge)
 
 
 # -- the eligible-only kernel against the reference loops ------------------------
