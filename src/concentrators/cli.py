@@ -25,6 +25,23 @@ from .montecarlo import _sig12
 from .pipeline import bicoset_concentrator_report
 
 
+def _each_distinct(f, values) -> list:
+    """``[f(x) for x in values]`` for a list of floats, with one call of ``f``
+    per distinct value.  0.0 and -0.0 are one dict key but print apart, so
+    the zeros are keyed by their sign."""
+    done = dict.fromkeys(values)
+    zeros = {}
+    if 0.0 in done:
+        del done[0.0]
+        zeros = {math.copysign(1.0, x): x for x in values if x == 0}
+        zeros = {sign: f(x) for sign, x in zeros.items()}
+    for x in done:
+        done[x] = f(x)
+    if not zeros:
+        return list(map(done.__getitem__, values))
+    return [zeros[math.copysign(1.0, x)] if x == 0 else done[x] for x in values]
+
+
 def _canonical_json(value, pad: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)``, byte
     for byte.  With an indent, ``json`` runs its pure-Python encoder; this
@@ -50,8 +67,10 @@ def _canonical_json(value, pad: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(isinstance(item, float) and math.isfinite(item) for item in value):
-            parts = map(float.__repr__, value)
+        if all(type(item) is int for item in value):
+            parts = map(int.__repr__, value)
+        elif all(isinstance(item, float) and math.isfinite(item) for item in value):
+            parts = _each_distinct(float.__repr__, value)
         else:
             parts = [_canonical_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
@@ -381,14 +400,14 @@ def _cmd_montecarlo(args) -> int:
     else:
         payload = {
             "summary": rows[0],
-            "mu_values": [_sig12(x) for x in batch.mu_values],
+            "mu_values": _each_distinct(_sig12, batch.mu_values),
             "violating_trials": list(batch.violating_trials),
             # Coset graphs are regular, so no trial is flagged; the key stays
             # in the output format.
             "flags": [],
         }
         if batch.top_values:
-            payload["top_values"] = [_sig12(x) for x in batch.top_values]
+            payload["top_values"] = _each_distinct(_sig12, batch.top_values)
         _emit(payload, args.out)
     return 0
 

@@ -86,6 +86,20 @@ class BipartiteGraph:
         return self.inc.sum(axis=0)
 
 
+def _composed(G: FiniteGroup, idx: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Element indices of s * c for every s drawn in the (b, k) index array
+    ``idx`` and every image row c of ``cols`` (shape (..., degree)): an array
+    of shape (b, k) + cols.shape[:-1].
+
+    A stack draws at most |G| distinct elements, so each distinct element's
+    rows are composed and looked up once and gathered back by the inverse.
+    """
+    distinct, inverse = np.unique(idx, return_inverse=True)
+    # The inverse's shape for a 2-d input changed between numpy 2.0.0 and
+    # 2.0.1, so it is reshaped explicitly.
+    return G.lookup(G.rows[distinct][:, cols])[inverse.reshape(idx.shape)]
+
+
 def cayley_counts(G: FiniteGroup, idx: np.ndarray) -> np.ndarray:
     """(b, n, n) stack of R_t = sum_s R(s) over the multiset in row t of ``idx``.
 
@@ -93,7 +107,7 @@ def cayley_counts(G: FiniteGroup, idx: np.ndarray) -> np.ndarray:
     s*g, g) for every g.  One gather and one ``bincount`` build the stack.
     """
     b, n = len(idx), len(G)
-    sg = G.lookup(G.rows[idx][:, :, G.rows])  # (b, k, n)
+    sg = _composed(G, idx, G.rows)  # (b, k, n)
     flat = (np.arange(b)[:, None, None] * n + sg) * n + np.arange(n)
     return np.bincount(flat.ravel(), minlength=b * n * n).reshape(b, n, n)
 
@@ -135,7 +149,7 @@ class CosetGraphs:
         S^-1 edges are the S edges reversed, which the symmetric scatter adds.
         """
         # nb[t, c, h, a] is the coset of s_c * h * rep_a in trial t
-        nb = self.partition.coset_of[self.G.lookup(self.G.rows[idx][:, :, self._h_reps])]
+        nb = self.partition.coset_of[_composed(self.G, idx, self._h_reps)]
         m = len(self)
         t = np.arange(len(idx))[:, None, None, None]
         a = np.arange(m)
@@ -170,7 +184,7 @@ class BicosetGraphs:
         in multiset t with N s rep_i = N_j."""
         b, m_in, m_out = len(idx), len(self.inputs), len(self.outputs)
         # j[t, s, i] is the N-coset of s * rep_i
-        j = self.outputs.coset_of[self.G.lookup(self.G.rows[idx][:, :, self._in_reps])]
+        j = self.outputs.coset_of[_composed(self.G, idx, self._in_reps)]
         flat = (np.arange(b)[:, None, None] * m_in + np.arange(m_in)) * m_out + j
         inc = np.bincount(flat.ravel(), minlength=b * m_in * m_out)
         return inc.reshape(b, m_in, m_out)

@@ -12,10 +12,15 @@ equal to ``seeded_rng(seed, t)``'s draw, made for the whole stack at once by
 ``permgroup.seeded_indices``; an enumeration's rows in ``itertools.product``
 order), one gather over the group's image rows builds the (b, n, n) operator
 stack, and one certified LAPACK call solves it
-(``spectral.sym_eigensystems``).  Coset partitions are computed once per
-batch.  A stack holds as many draws as fit ``SOLVE_CHUNK_BYTES``, counting both
-the operators and the image rows the draws gather with their lookup keys, so
-memory grows with neither the trial count nor k.  The per-multiset functions
+(``spectral.sym_eigensystems``).  A stack's work scales with what is distinct
+in it: the builders look up each distinct drawn element's composed rows once
+and gather them back to every draw, and the solve keys each operator by its
+bytes and solves each distinct operator of the stack once, in
+first-occurrence order, its repeats taking the same mu* and top eigenvalue.
+Coset partitions are computed once per batch.  A stack holds as many draws as
+fit ``SOLVE_CHUNK_BYTES``, counting both the operators and the image rows the
+draws would gather with their lookup keys if no element repeated, so memory
+grows with neither the trial count nor k.  The per-multiset functions
 (``cayley_operator``, ``_normalized_coset_matrix`` and the graph builders they
 call) are the one-draw case of the same builders.
 
@@ -180,23 +185,32 @@ def _product_indices(order: int, k: int, t0: int, t1: int) -> np.ndarray:
 def _solve_stack(stack, threshold: float, mu: list, top: list, arbitrated: dict) -> None:
     """Append each stacked operator's mu* and top |eigenvalue|, ties arbitrated.
 
+    Operators are keyed by their bytes: each distinct operator of the stack is
+    solved once, in first-occurrence order, and its repeats reuse the result.
     ``arbitrated`` maps an operator's bytes to its Jacobi (mu*, top), so an
-    operator that recurs in the tie band is solved by Jacobi once.
+    operator that recurs in the tie band is solved by Jacobi once per batch.
     """
-    w, _, _ = sym_eigensystems(stack)
+    # every operator's bytes, made by one call on a void view of the stack
+    keys = stack.reshape(len(stack), -1).view(f"V{stack[0].nbytes}").ravel().tolist()
+    first: dict[bytes, int] = {}  # a distinct operator's bytes -> its row of ``distinct``
+    where = [first.setdefault(key, len(first)) for key in keys]
+    distinct = stack[np.unique(where, return_index=True)[1]]
+    w, _, _ = sym_eigensystems(distinct)
     by_abs = np.sort(np.abs(w), axis=1)
     mus = by_abs[:, -2] if w.shape[1] >= 2 else np.full(len(w), math.nan)
     tops = by_abs[:, -1]
-    band = TIE_BAND * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
+    band = TIE_BAND * np.maximum(np.linalg.norm(distinct, axis=(1, 2)), 1.0)
+    distinct_keys = list(first)
     for i in np.flatnonzero(np.abs(mus - threshold) <= band):
-        key = stack[i].tobytes()
+        key = distinct_keys[i]
         if key not in arbitrated:
-            wj, _, _ = jacobi_eigensystem(stack[i])
+            wj, _, _ = jacobi_eigensystem(distinct[i])
             by_abs_j = np.sort(np.abs(wj))
             arbitrated[key] = by_abs_j[-2], by_abs_j[-1]
         mus[i], tops[i] = arbitrated[key]
-    mu.extend(mus.tolist())
-    top.extend(tops.tolist())
+    mus, tops = mus.tolist(), tops.tolist()
+    mu.extend([mus[j] for j in where])
+    top.extend([tops[j] for j in where])
 
 
 def _spectra(operators: _Operators, k: int, count: int, draws, threshold: float):

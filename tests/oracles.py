@@ -17,7 +17,11 @@ per (row, point), the reference of the bitwise check in ``FiniteGroup``.
 ``jacobi_eigensystem`` is the cyclic Jacobi iteration on numpy rows and
 columns, the reference of ``spectral.jacobi_eigensystem``, which does the
 same arithmetic on Python floats and must agree with it to the bit
-(``test_spectral.py``).
+(``test_spectral.py``).  ``solve_stack`` is the Monte Carlo stack solve that
+runs every operator of a stack through LAPACK and sends each in-band one to
+the Jacobi reference above, the reference of ``montecarlo._solve_stack``,
+which solves each distinct operator of a stack once
+(``test_distinct_solve.py``).
 """
 
 import itertools
@@ -26,6 +30,7 @@ import math
 import numpy as np
 
 from concentrators.designs import DesignError
+from concentrators.montecarlo import TIE_BAND
 from concentrators.permgroup import GroupError, seeded_rng
 from concentrators.spectral import (
     DEFAULT_TOL,
@@ -33,6 +38,7 @@ from concentrators.spectral import (
     SpectralError,
     _check_symmetric,
     _offdiag_norm,
+    sym_eigensystems,
 )
 
 
@@ -494,3 +500,24 @@ def jacobi_eigensystem(M):
     w = np.diag(A).copy()
     order = np.argsort(-w, kind="stable")
     return w[order], V[:, order], residual
+
+
+def solve_stack(stack, threshold, mu, top, arbitrated):
+    """Append each stacked operator's mu* and top |eigenvalue|: one LAPACK
+    solve of every operator of the stack, then a Jacobi solve of each
+    operator whose mu* lies in the tie band and whose bytes ``arbitrated``
+    does not hold yet."""
+    w, _, _ = sym_eigensystems(stack)
+    by_abs = np.sort(np.abs(w), axis=1)
+    mus = by_abs[:, -2] if w.shape[1] >= 2 else np.full(len(w), math.nan)
+    tops = by_abs[:, -1]
+    band = TIE_BAND * np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
+    for i in np.flatnonzero(np.abs(mus - threshold) <= band):
+        key = stack[i].tobytes()
+        if key not in arbitrated:
+            wj, _, _ = jacobi_eigensystem(stack[i])
+            by_abs_j = np.sort(np.abs(wj))
+            arbitrated[key] = by_abs_j[-2], by_abs_j[-1]
+        mus[i], tops[i] = arbitrated[key]
+    mu.extend(mus.tolist())
+    top.extend(tops.tolist())

@@ -2,6 +2,7 @@
 per-trial references in ``oracles.py``, and their memory use."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from concentrators.montecarlo import (
     run_cayley_trials,
     run_coset_trials,
 )
-from concentrators.permgroup import Permutation, closure
+from concentrators.permgroup import FiniteGroup, Permutation, closure, seeded_indices
 
 import oracles
 
@@ -119,6 +120,30 @@ def test_split_stacks_match_unsplit(groups, k, seed, chunk_bytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "SOLVE_CHUNK_BYTES", chunk_bytes)
         assert results() == whole
+
+
+def test_builders_look_up_each_distinct_drawn_element_once(s4, monkeypatch):
+    # 32 trials of 40 draws hold at most 24 distinct elements, so each build
+    # looks up u x cols composed rows, not 32 x 40 x cols.
+    H = closure(4, [Permutation((1, 0, 2, 3))])
+    idx = seeded_indices(1, 0, 32, len(s4), 40)
+    u = len(np.unique(idx))
+    assert u <= len(s4) < idx.size
+    builds = [(_cayley_operators(s4), len(s4)),
+              (_coset_operators(s4, H), len(H) * 12),
+              (_gram_operators(s4, H, H), 12)]
+    looked = []
+    lookup = FiniteGroup.lookup
+
+    def spy(self, rows):
+        looked.append(np.asarray(rows).shape[:-1])
+        return lookup(self, rows)
+
+    monkeypatch.setattr(FiniteGroup, "lookup", spy)
+    for operators, cols in builds:
+        looked.clear()
+        operators.build(idx)
+        assert [math.prod(shape) for shape in looked] == [u * cols]
 
 
 def _peak_mib(run):

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import concentrators as C
 from concentrators import fileio, verify
-from concentrators.cli import _canonical_json, _parse_args, build_parser, main
+from concentrators.cli import _canonical_json, _each_distinct, _parse_args, build_parser, main
 from concentrators.fileio import save_graph
 from test_cli_golden import CASES as GOLDEN_CASES
 
@@ -765,9 +765,15 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _float_lists = st.lists(
     st.one_of(_finite, st.sampled_from(_ODD_FLOATS), _finite.map(np.float64)), min_size=1,
     max_size=200)
+# Lists of ints, which the writer joins in one call when every item is an
+# exact int; a bool among them takes the per-item path.
+_ints = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
+_int_lists = st.one_of(
+    st.lists(_ints, min_size=1, max_size=200),
+    st.lists(st.one_of(_ints, st.booleans()), min_size=1, max_size=200))
 _number_keys = st.one_of(st.integers(-5, 5), st.floats(-2.0, 2.0), st.booleans())
 _payloads = st.recursive(
-    st.one_of(_scalars, _float_lists),
+    st.one_of(_scalars, _float_lists, _int_lists),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -780,6 +786,9 @@ _payloads = st.recursive(
 
 @settings(max_examples=250, deadline=None)
 @given(_payloads)
+# both zeros, each after the other: 0.0 == -0.0, but they print apart
+@example([0.0, -0.0, 1.5, -0.0, np.float64(-0.0), 0.0, 1.5, np.float64(0.0)])
+@example([-0.0, 0.0, np.float64(0.0)])
 def test_canonical_writer_matches_json_dumps(payload):
     want = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     assert _canonical_json(payload) == want
@@ -809,10 +818,26 @@ def test_canonical_writer_rejects_non_finite_floats_in_float_lists(items, bad, d
         _canonical_json(items)
 
 
+@pytest.mark.parametrize("values", [[0.1, 0.2, 0.1, 0.1, 0.3, 0.2], [0.0, 0.5, -0.0, 0.0, 0.5],
+                                    [-0.0, -0.0], [np.float64(0.25), 0.25, 1e-300]])
+def test_each_distinct_calls_once_per_distinct_value(values):
+    seen = []
+
+    def spy(x):
+        seen.append(float.__repr__(x))
+        return float.__repr__(x)
+
+    assert _each_distinct(spy, values) == [float.__repr__(x) for x in values]
+    # 0.0 and -0.0 are two values here, as they print apart
+    assert sorted(seen) == sorted({float.__repr__(x) for x in values})
+
+
 @pytest.mark.parametrize(
     "payload",
-    [np.int64(3), {"a": np.bool_(True)}, [set()], {"k": object()}, {(1, 2): 3}, {None: 1, "a": 2}],
-    ids=["numpy-int", "numpy-bool", "set", "object", "tuple-key", "mixed-keys"],
+    [np.int64(3), {"a": np.bool_(True)}, [set()], {"k": object()}, {(1, 2): 3}, {None: 1, "a": 2},
+     [1, -(2**70), np.int64(3), 4]],
+    ids=["numpy-int", "numpy-bool", "set", "object", "tuple-key", "mixed-keys",
+         "numpy-int-in-int-list"],
 )
 def test_canonical_writer_raises_type_error_like_json(payload):
     with pytest.raises(TypeError):

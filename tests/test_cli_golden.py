@@ -111,6 +111,11 @@ CASES = [
     ("montecarlo-thm14-z4-ties", 0, ["montecarlo", "--group", "z4.txt", "--k", "2",
                                      "--eps", "0.5", "--trials", "8", "--seed", "1",
                                      "--variant", "thm14"]),
+    # 200 trials draw four distinct Gram operators: each is solved once per
+    # stack, and every trial that repeats one prints its values.
+    ("montecarlo-thm18-repeats", 0, ["montecarlo", "--group", "s3.txt", "--L", "swap01.txt",
+                                     "--N", "a3.txt", "--k", "6", "--eps", "0.4",
+                                     "--trials", "200", "--seed", "11", "--variant", "thm18"]),
     ("pipeline63-s3", 0, ["pipeline63", "--group", "s3.txt", "--L", "swap01.txt",
                           "--S", "s3.txt"]),
     # 120 vertices, past the exhaustive cap: the magnifier samples 20 draws
